@@ -6,19 +6,11 @@ Exit codes: 0 success, 2 parse error, 3 non-coprime input, 4 cap exceeded,
 
 from __future__ import annotations
 
-import sys
-
 import click
 
 from .arith import factorize, is_prime
-from .congruence import (
-    NotCoprimeError,
-    bounds_via_congruence_number,
-    congruence_number,
-    solve_problem_2_4,
-)
+from .congruence import NotCoprimeError, PreconditionError, congruence_number
 from .hecke_io import (
-    CharPolyDataset,
     FormatError,
     ResultsStore,
     export_class,
@@ -29,7 +21,6 @@ from .intpoly import FactorizationCapError, IntPoly
 from .modsym import DEFAULT_LEVEL_CAP, LevelCapError, newform_classes
 from .pipeline import (
     ComparisonOptions,
-    PreconditionError,
     compare_newforms,
     eisenstein_scan,
     level_raising_check,
@@ -95,8 +86,8 @@ _COEFFS = r"^-?\d+(,-?\d+)*$"
 def congpoly(specs, ell, all_ell, pretty):
     """Congruence number and root-congruence exponents of two polynomials.
 
-    Coefficients are comma-separated, ascending (constant first); a leading
-    minus on the constant term is fine.
+    Both polynomials must be monic. Coefficients are comma-separated,
+    ascending (constant first); a leading minus on the constant term is fine.
     """
     import re
 
@@ -122,8 +113,8 @@ def congpoly(specs, ell, all_ell, pretty):
         )
         ells = sorted(factorize(res.c)) if all_ell else ([ell] if ell else [])
         for l in ells:
-            bounds = bounds_via_congruence_number(p, q, l)
-            n, method = solve_problem_2_4(p, q, l)
+            bounds = res.bounds(l)
+            n, method = res.exponent(l)
             exact = "exact" if bounds.exact else f"bounds=[{bounds.lower},{bounds.upper}]"
             click.echo(f"ell={l} n={n} {exact} method={method} case={bounds.case_tag}")
     except NotCoprimeError as e:
@@ -132,6 +123,9 @@ def congpoly(specs, ell, all_ell, pretty):
     except FactorizationCapError as e:
         click.echo(f"error: {e}", err=True)
         raise click.exceptions.Exit(EXIT_CAP) from None
+    except PreconditionError as e:
+        click.echo(f"error: {e}", err=True)
+        raise click.exceptions.Exit(EXIT_PRECONDITION) from None
 
 
 @main.command()
@@ -146,17 +140,13 @@ def charpoly(level, prime, class_id, cap):
             click.echo(f"error: {p} is not prime", err=True)
             raise click.exceptions.Exit(EXIT_PARSE)
     try:
-        classes = newform_classes(level, cap=cap)
-    except LevelCapError as e:
+        for cls in newform_classes(level, cap=cap):
+            if class_id is not None and cls.id != class_id:
+                continue
+            click.echo(export_class(cls, prime or []).rstrip("\n"))
+    except (LevelCapError, FactorizationCapError) as e:
         click.echo(f"error: {e}", err=True)
         raise click.exceptions.Exit(EXIT_CAP) from None
-    except FactorizationCapError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_CAP) from None
-    for cls in classes:
-        if class_id is not None and cls.id != class_id:
-            continue
-        click.echo(export_class(cls, prime or []).rstrip("\n"))
 
 
 @main.command()
@@ -201,12 +191,7 @@ def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutof
 def eisenstein(level, cutoff, cap):
     """Scan a prime level for congruences with the Eisenstein series."""
     try:
-        classes = newform_classes(level, cap=cap)
-    except LevelCapError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_CAP) from None
-    try:
-        for cls in classes:
+        for cls in newform_classes(level, cap=cap):
             entries = eisenstein_scan(cls, prime_cutoff_override=cutoff)
             if not entries:
                 click.echo(f"EIS id={cls.id} none")
@@ -215,6 +200,9 @@ def eisenstein(level, cutoff, cap):
                     f"EIS id={cls.id} ell={e.ell} n={e.exponent} "
                     f"mazur={e.mazur_valuation}"
                 )
+    except (LevelCapError, FactorizationCapError) as e:
+        click.echo(f"error: {e}", err=True)
+        raise click.exceptions.Exit(EXIT_CAP) from None
     except PreconditionError as e:
         click.echo(f"error: {e}", err=True)
         raise click.exceptions.Exit(EXIT_PRECONDITION) from None

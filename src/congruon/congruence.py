@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import is_prime, valuation
 from .intpoly import (
@@ -26,9 +27,19 @@ class NotCoprimeError(ValueError):
     """Inputs share a factor over the rationals; factor first."""
 
 
+class PreconditionError(ValueError):
+    """An input precondition (monic polynomials; comparison weights, levels,
+    data) is not met."""
+
+
 @dataclass(frozen=True)
 class CongruenceNumberResult:
-    """c = r*P + s*Q with c the smallest such positive constant."""
+    """c = r*P + s*Q with c the smallest such positive constant.
+
+    The record of the pair (P, Q) that every residue prime ell reads: the
+    facts that do not depend on ell (repeated factors, irreducible factor
+    pairs, F(Y)) are computed once, on first use.
+    """
 
     c: int
     r: IntPoly
@@ -43,6 +54,68 @@ class CongruenceNumberResult:
             raise ValueError("deg(r) must be below deg(Q)")
         if self.p.degree > 0 and self.s.degree >= self.p.degree:
             raise ValueError("deg(s) must be below deg(P)")
+
+    def bounds(self, ell):
+        """Exponent bounds at ell from the congruence-number case analysis.
+
+        Inputs with repeated factors over Q are split into irreducible factor
+        pairs; the result takes the maximal lower and upper bound over them.
+        """
+        if ell in self._bounds:
+            return self._bounds[ell]
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+        if self._factor_pairs is None:
+            bounds = _bounds_irreducible_pair(self, ell)
+        else:
+            pairs = [_bounds_irreducible_pair(res, ell) for res in self._factor_pairs]
+            lower = max((b.lower for b in pairs), default=0)
+            upper = max((b.upper for b in pairs), default=0)
+            bounds = CongruenceBounds(ell, lower, upper, lower == upper, "factored")
+        self._bounds[ell] = bounds
+        return bounds
+
+    def exponent(self, ell):
+        """(n, method): the maximal n with roots congruent modulo ell^n, and
+        whether the case analysis fixed it ("cn") or the Newton polygon of
+        F(Y) had to ("np")."""
+        bounds = self.bounds(ell)
+        if bounds.exact:
+            return bounds.lower, "cn"
+        return self._newton_exponent(ell), "np"
+
+    def _newton_exponent(self, ell):
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+        polygon = newton_polygon(ell, self._difference_poly)
+        top = polygon.max_slope
+        if top is None or top <= 0:
+            return 0
+        return exponent_from_slope(top)
+
+    @cached_property
+    def _bounds(self):
+        return {}
+
+    @cached_property
+    def _factor_pairs(self):
+        """Records of the irreducible factor pairs, or None when neither
+        input has a repeated factor over Q."""
+        p, q = self.p, self.q
+        p_rep = p.degree > 0 and gcd_over_q(p, p.derivative()).degree > 0
+        q_rep = q.degree > 0 and gcd_over_q(q, q.derivative()).degree > 0
+        if not (p_rep or q_rep):
+            return None
+        q_factors = [qf for qf, _ in factor_over_z(q)]
+        return [
+            congruence_number(pf, qf) for pf, _ in factor_over_z(p) for qf in q_factors
+        ]
+
+    @cached_property
+    def _difference_poly(self):
+        f = difference_root_poly(self.p, self.q)
+        assert f[0] != 0, "coprime inputs must give F(0) != 0"
+        return f
 
 
 @dataclass(frozen=True)
@@ -63,34 +136,30 @@ class CongruenceBounds:
 
 
 def congruence_number(p, q):
-    """Congruence number c(P, Q) with cofactors, via the Hermite form of the
-    Sylvester matrix: c is the bottom-right pivot, the cofactors come from
-    the bottom row of the transformation matrix."""
-    _check_coprime(p, q)
-    if p.degree == 0 or q.degree == 0:
-        # Constant input must be a unit for monic/primitive coprime pairs.
-        const = p if p.degree == 0 else q
-        c = abs(const.coeffs[0])
-        if p.degree == 0:
-            return CongruenceNumberResult(c, IntPoly([c // const.coeffs[0]]), IntPoly(), p, q)
-        return CongruenceNumberResult(c, IntPoly(), IntPoly([c // const.coeffs[0]]), p, q)
+    """Congruence number c(P, Q) of monic P, Q with cofactors, via the Hermite
+    form of the Sylvester matrix: c is the bottom-right pivot, the cofactors
+    come from the bottom row of the transformation matrix. A zero pivot means
+    the Sylvester matrix is singular, that is, P and Q share a factor."""
+    if p.is_zero or q.is_zero:
+        raise ValueError("zero polynomial input")
+    if not (p.is_monic and q.is_monic):
+        raise PreconditionError("inputs must be monic")
+    if p.degree == 0:
+        return CongruenceNumberResult(1, IntPoly([1]), IntPoly(), p, q)
+    if q.degree == 0:
+        return CongruenceNumberResult(1, IntPoly(), IntPoly([1]), p, q)
     s_mat = sylvester_matrix(p, q)
     h, b = hnf_with_transform(s_mat)
     size = s_mat.nrows
     c = h[size - 1, size - 1]
+    if c == 0:
+        raise NotCoprimeError("not coprime: inputs share a factor; factor first")
     assert c > 0 and all(h[size - 1, j] == 0 for j in range(size - 1))
     bottom = b.rows[-1]
     n, m = q.degree, p.degree
     r = IntPoly(list(reversed(bottom[:n])))  # rows X^(n-1)P .. P
     s = IntPoly(list(reversed(bottom[n:])))  # rows X^(m-1)Q .. Q
     return CongruenceNumberResult(c, r, s, p, q)
-
-
-def _check_coprime(p, q):
-    if p.is_zero or q.is_zero:
-        raise ValueError("zero polynomial input")
-    if p.degree > 0 and q.degree > 0 and resultant(p, q) == 0:
-        raise NotCoprimeError("not coprime: inputs share a factor; factor first")
 
 
 def _reduce_mod(poly, ell):
@@ -124,10 +193,10 @@ def common_root_mod_ell(p, q, ell):
     return by_number
 
 
-def _bounds_irreducible_pair(p, q, ell):
-    """Case analysis for P, Q whose reductions' multiple factors are tolerated
-    but which are squarefree over Q themselves."""
-    res = congruence_number(p, q)
+def _bounds_irreducible_pair(res, ell):
+    """Case analysis for the record of P, Q whose reductions' multiple factors
+    are tolerated but which are squarefree over Q themselves."""
+    p, q = res.p, res.q
     n = valuation(ell, res.c)
     if n == 0:
         return CongruenceBounds(ell, 0, 0, True, "a")
@@ -151,29 +220,8 @@ def _bounds_irreducible_pair(p, q, ell):
 
 
 def bounds_via_congruence_number(p, q, ell):
-    """Exponent bounds from the congruence-number case analysis.
-
-    Inputs with repeated factors over Q are factored into irreducibles first;
-    the result aggregates the maximal lower and upper bound over all pairs.
-    """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    _check_coprime(p, q)
-    p_rep = gcd_over_q(p, p.derivative()).degree > 0 if p.degree > 0 else False
-    q_rep = gcd_over_q(q, q.derivative()).degree > 0 if q.degree > 0 else False
-    if not (p_rep or q_rep):
-        return _bounds_irreducible_pair(p, q, ell)
-    p_factors = [f for f, _ in factor_over_z(p)]
-    q_factors = [f for f, _ in factor_over_z(q)]
-    lower = upper = 0
-    for pf in p_factors:
-        for qf in q_factors:
-            if abs(resultant(pf, qf)) == 1:
-                continue  # unit resultant pairs contribute nothing
-            b = _bounds_irreducible_pair(pf, qf, ell)
-            lower = max(lower, b.lower)
-            upper = max(upper, b.upper)
-    return CongruenceBounds(ell, lower, upper, lower == upper, "factored")
+    """Exponent bounds from the congruence-number case analysis."""
+    return congruence_number(p, q).bounds(ell)
 
 
 def difference_root_poly(p, q):
@@ -225,25 +273,10 @@ def _interpolate(xs, ys):
 
 def exact_exponent_newton(p, q, ell):
     """Exact maximal exponent via the Newton polygon of F(Y)."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    _check_coprime(p, q)
-    f = difference_root_poly(p, q)
-    assert f[0] != 0, "coprime inputs must give F(0) != 0"
-    polygon = newton_polygon(ell, f)
-    top = polygon.max_slope
-    if top is None or top <= 0:
-        return 0
-    return exponent_from_slope(top)
+    return congruence_number(p, q)._newton_exponent(ell)
 
 
 def solve_problem_2_4(p, q, ell):
-    """Maximal n such that P and Q have roots congruent modulo ell^n.
-
-    Returns (n, method) where method records whether the congruence-number
-    route sufficed ("cn") or the Newton-polygon fallback ran ("np").
-    """
-    bounds = bounds_via_congruence_number(p, q, ell)
-    if bounds.exact:
-        return bounds.lower, "cn"
-    return exact_exponent_newton(p, q, ell), "np"
+    """Maximal n such that P and Q have roots congruent modulo ell^n, as
+    (n, method); see CongruenceNumberResult.exponent."""
+    return congruence_number(p, q).exponent(ell)

@@ -17,7 +17,7 @@ import fcntl
 import hashlib
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime

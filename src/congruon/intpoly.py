@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import inverse_mod, is_prime, xgcd
+from .arith import inverse_mod, is_prime
 
 DEFAULT_FACTOR_CAP = 64
 
@@ -136,12 +136,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, k):
-        """Multiply by X^k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def compose_add(self, t):
         """P(X + t) for an integer t."""
         acc = IntPoly()
@@ -193,11 +187,6 @@ class IntPoly:
                 else:
                     terms.append(f"{c}*{mono}")
         return "IntPoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
-
-
-def poly_mul(a, b):
-    """Exact product of two polynomials."""
-    return a * b
 
 
 def _poly_divmod_q(a, b):
@@ -268,10 +257,6 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self):

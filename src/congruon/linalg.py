@@ -18,10 +18,6 @@ def frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def zero_matrix(nrows, ncols):
     return [[ZERO] * ncols for _ in range(nrows)]
 
@@ -35,18 +31,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v) if x), ZERO) for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def rref(rows):
@@ -94,10 +78,6 @@ def nullspace(rows, ncols=None):
             v[pj] = -row[f]
         basis.append(v)
     return basis
-
-
-def rank(rows):
-    return len(rref(rows)[0])
 
 
 def solve_in_span(basis_columns, targets):

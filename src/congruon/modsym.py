@@ -13,13 +13,12 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .arith import factorize, prime_divisors, primes_upto, xgcd
+from .arith import divisors, factorize, is_prime, prime_divisors, primes_upto, xgcd
 from .intpoly import FactorizationCapError, IntPoly, factor_over_z
 from .linalg import (
     ZERO,
     apply_poly,
     charpoly,
-    mat_vec,
     nullspace,
     restrict_operator,
     rref,
@@ -196,17 +195,10 @@ def _cusp_invariants(n):
                 continue
             nu3 *= 1 + (1 if p % 3 == 1 else -1)
     nu_inf = 0
-    for d in _divisors(n):
+    for d in divisors(n):
         g = math.gcd(d, n // d)
         nu_inf += _euler_phi(g)
     return b, nu2, nu3, nu_inf
-
-
-def _divisors(n):
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return out
 
 
 def _euler_phi(n):
@@ -439,8 +431,6 @@ class Subspace:
 
 def hecke_matrix(space_or_subspace, p):
     """Matrix of T_p on a full space or a Hecke-stable subspace."""
-    from .arith import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return space_or_subspace.hecke_matrix(p)
@@ -531,8 +521,6 @@ class NewformClass:
 
     def class_charpoly(self, p):
         """P_{f,p}: monic degree-d charpoly of T_p on the class."""
-        from .arith import is_prime
-
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p in self.charpolys:
@@ -688,8 +676,6 @@ def newform_classes(n, cap=DEFAULT_LEVEL_CAP):
 
 def eisenstein_charpoly(n, p):
     """Charpoly of T_p on the weight-2 Eisenstein space at prime level N."""
-    from .arith import is_prime
-
     if not is_prime(n):
         raise ValueError("engine Eisenstein data requires prime level")
     if n % p == 0:

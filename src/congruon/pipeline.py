@@ -11,15 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_upto, valuation
-from .congruence import congruence_number, solve_problem_2_4
+from .congruence import NotCoprimeError, PreconditionError, congruence_number
 from .hecke_io import ComparisonRecord, PerPrimeDetail, options_hash
-from .intpoly import IntPoly, resultant
+from .intpoly import IntPoly
 from .modsym import eisenstein_charpoly
 from .padic import val
-
-
-class PreconditionError(ValueError):
-    """A comparison precondition (weights, levels, data) is not met."""
 
 
 @dataclass(frozen=True)
@@ -113,19 +109,26 @@ def oldspace_charpoly(p_poly, r, delta, p, k):
     return out
 
 
-def _exponent_entries(f, g, primes, good, p_of_m, ell_set, opts, m, k):
+def _record(pf, pg):
+    """The congruence record of (pf, pg), or None where they share a root
+    (then every congruence holds, so the prime gives no constraint)."""
+    try:
+        return congruence_number(pf, pg)
+    except NotCoprimeError:
+        return None
+
+
+def _exponent_entries(f, g, records, p_of_m, ell_set, opts, m, k):
     """d_p(ell) tables for step 2 (plain) and step 3 (old-space at p | m)."""
     plain = {}
     methods = {}
-    for p in good + p_of_m:
-        pf, pg = f.class_charpoly(p), g.class_charpoly(p)
-        if resultant(pf, pg) == 0:
-            # identical root: every congruence holds, so no constraint
+    for p, rec in records.items():
+        if rec is None:
             continue
         plain[p] = {}
         methods[p] = set()
         for ell in ell_set:
-            d, method = solve_problem_2_4(pf, pg, ell)
+            d, method = rec.exponent(ell)
             plain[p][ell] = d
             methods[p].add(method)
     old = {}
@@ -134,14 +137,11 @@ def _exponent_entries(f, g, primes, good, p_of_m, ell_set, opts, m, k):
             r = valuation(p, m)
             delta = 0 if f.level % p == 0 else 1
             tilde = oldspace_charpoly(f.class_charpoly(p), r, delta, p, k)
-            if resultant(tilde, g.class_charpoly(p)) == 0:
+            rec = _record(tilde, g.class_charpoly(p))
+            if rec is None:
                 continue
-            old[p] = {}
-            methods.setdefault(p, set())
-            for ell in ell_set:
-                d, method = solve_problem_2_4(tilde, g.class_charpoly(p), ell)
-                old[p][ell] = d
-                methods[p].add("oldspace")
+            old[p] = {ell: rec.exponent(ell)[0] for ell in ell_set}
+            methods.setdefault(p, set()).add("oldspace")
     return plain, old, methods
 
 
@@ -186,26 +186,19 @@ def compare_newforms(f, g, opts=None):
         excluded = []
 
     # Step 1: congruence numbers at the good primes.
-    c_table = {}
-    shared = []
-    for p in good:
-        pf, pg = f.class_charpoly(p), g.class_charpoly(p)
-        if resultant(pf, pg) == 0:
-            shared.append(p)  # identical root: no information for the bounds
-            continue
-        c_table[p] = congruence_number(pf, pg).c
-    if not c_table:
+    records = {p: _record(f.class_charpoly(p), g.class_charpoly(p)) for p in good}
+    shared = [p for p in good if records[p] is None]
+    good = [p for p in good if records[p] is not None]
+    if not good:
         raise PreconditionError(
             "not coprime: the charpolys agree at every usable prime"
         )
-    good = [p for p in good if p in c_table]
-    l_plus = modified_gcd_combine([(p, c_table[p]) for p in good])
-    single_entry = len(good) == 1
+    l_plus = modified_gcd_combine([(p, records[p].c) for p in good])
+    for p in p_of_m:
+        records[p] = _record(f.class_charpoly(p), g.class_charpoly(p))
 
     ell_set = sorted(factorize(l_plus)) if l_plus > 1 else []
-    plain, old, methods = _exponent_entries(
-        f, g, primes, good, p_of_m, ell_set, opts, m, k
-    )
+    plain, old, methods = _exponent_entries(f, g, records, p_of_m, ell_set, opts, m, k)
 
     l_minus = 1
     for ell in ell_set:
@@ -236,10 +229,7 @@ def compare_newforms(f, g, opts=None):
             method = "np"
         else:
             method = "cn"
-        c_val = c_table.get(p)
-        if c_val is None:
-            pf, pg = f.class_charpoly(p), g.class_charpoly(p)
-            c_val = 0 if resultant(pf, pg) == 0 else congruence_number(pf, pg).c
+        c_val = records[p].c if records[p] is not None else 0
         details.append(PerPrimeDetail(p, c_val, d_val, method))
     for p in shared:
         details.append(PerPrimeDetail(p, 0, 0, "cn"))
@@ -292,22 +282,16 @@ def eisenstein_scan(f, prime_cutoff_override=None):
         raise PreconditionError(
             "insufficient primes below the Sturm bound; pass a cutoff override"
         )
-    c_table = {}
+    records = {}
     for p in good:
-        pf = f.class_charpoly(p)
-        eis = eisenstein_charpoly(n, p)
-        if resultant(pf, eis) == 0:
-            continue
-        c_table[p] = congruence_number(pf, eis).c
-    combined = modified_gcd_combine(sorted(c_table.items()))
+        rec = _record(f.class_charpoly(p), eisenstein_charpoly(n, p))
+        if rec is not None:
+            records[p] = rec
+    combined = modified_gcd_combine(sorted((p, rec.c) for p, rec in records.items()))
     mazur = Fraction(n - 1, 12)
     out = []
     for ell in sorted(factorize(combined)) if combined > 1 else []:
-        pool = [
-            solve_problem_2_4(f.class_charpoly(p), eisenstein_charpoly(n, p), ell)[0]
-            for p in c_table
-            if p != ell
-        ]
+        pool = [rec.exponent(ell)[0] for p, rec in records.items() if p != ell]
         exponent = min(pool) if pool else 0
         out.append(EisensteinEntry(ell, exponent, valuation(ell, mazur.numerator)))
     return out
@@ -328,13 +312,11 @@ def level_raising_check(f, p, ell):
     if f.level % p == 0:
         raise PreconditionError("p must not divide the level")
     pf = f.class_charpoly(p)
-    minus = IntPoly([-(p + 1), 1])
-    plus = IntPoly([p + 1, 1])
-    c_minus = congruence_number(pf, minus).c
-    c_plus = congruence_number(pf, plus).c
-    e_minus = solve_problem_2_4(pf, minus, ell)[0]
-    e_plus = solve_problem_2_4(pf, plus, ell)[0]
-    return LevelRaisingResult(p, ell, c_minus, c_plus, e_minus, e_plus)
+    minus = congruence_number(pf, IntPoly([-(p + 1), 1]))
+    plus = congruence_number(pf, IntPoly([p + 1, 1]))
+    return LevelRaisingResult(
+        p, ell, minus.c, plus.c, minus.exponent(ell)[0], plus.exponent(ell)[0]
+    )
 
 
 def oldspace_evaluation_valuation(p_poly, r, delta, p, k, t, ell):

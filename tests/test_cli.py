@@ -4,6 +4,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import congruon.congruence
 from congruon.cli import main
 from congruon.hecke_io import export_class
 from congruon.modsym import newform_classes
@@ -59,6 +60,42 @@ def test_congpoly_not_coprime(runner):
     assert r.exit_code == 3
 
 
+def test_congpoly_rejects_non_monic(runner):
+    # Roots -7/2 and -7 differ by 7/2, so the true exponent at 3 is 0; the
+    # solver assumes monic input and must refuse rather than print n=1.
+    r = _run(runner, ["congpoly", "21,6", "21,3", "--all-ell"])
+    assert r.exit_code == 5
+    assert "ell=" not in r.output
+
+
+@pytest.mark.parametrize(
+    "p, q, np_lines",
+    [("-29,1", "231,32,1", 2), ("1,2,1", "-18304,-752,732,-52,1", 0)],
+)
+def test_congpoly_computes_each_fact_once(runner, monkeypatch, p, q, np_lines):
+    """However many residue primes an --all-ell run reads, it computes one
+    HNF per distinct Sylvester matrix and at most one F(Y)."""
+    hnf_inputs, diff_inputs = [], []
+    hnf = congruon.congruence.hnf_with_transform
+    diff = congruon.congruence.difference_root_poly
+
+    def counted_hnf(m):
+        hnf_inputs.append(m)
+        return hnf(m)
+
+    def counted_diff(a, b):
+        diff_inputs.append((a, b))
+        return diff(a, b)
+
+    monkeypatch.setattr(congruon.congruence, "hnf_with_transform", counted_hnf)
+    monkeypatch.setattr(congruon.congruence, "difference_root_poly", counted_diff)
+    r = _run(runner, ["congpoly", p, q, "--all-ell"])
+    assert r.exit_code == 0
+    assert r.output.count("method=np") == np_lines
+    assert len(hnf_inputs) == len(set(hnf_inputs))
+    assert len(diff_inputs) <= 1
+
+
 def test_congpoly_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "congruon.cli", "congpoly", "12,1", "-60,1"],
@@ -92,6 +129,15 @@ def test_charpoly_cap(runner):
     assert _run(runner, ["charpoly", "--level", "301", "--p", "2"]).exit_code == 4
     r = _run(runner, ["charpoly", "--level", "301", "--p", "2", "--cap", "301"])
     assert r.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args", [["charpoly", "--level", "23", "--p", "2"], ["eisenstein", "--level", "23"]]
+)
+def test_factorization_cap_exit_code(runner, args):
+    r = _run(runner, args, env={"CONGRUON_FACTOR_CAP": "1"})
+    assert r.exit_code == 4
+    assert "factorization cap exceeded" in r.output
 
 
 def test_charpoly_bad_prime(runner):

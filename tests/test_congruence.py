@@ -8,6 +8,7 @@ from sympy.abc import x as sx, y as sy
 from congruon.arith import valuation
 from congruon.congruence import (
     NotCoprimeError,
+    PreconditionError,
     bounds_via_congruence_number,
     common_root_mod_ell,
     congruence_number,
@@ -63,6 +64,14 @@ def test_not_coprime_raises():
         congruence_number(shared * IntPoly([2, 1]), shared * IntPoly([3, 1]))
     with pytest.raises(NotCoprimeError):
         solve_problem_2_4(shared, shared * IntPoly([5, 1]), 3)
+
+
+def test_non_monic_input_rejected():
+    p, q = IntPoly([21, 6]), IntPoly([21, 3])
+    with pytest.raises(PreconditionError, match="monic"):
+        congruence_number(p, q)
+    with pytest.raises(PreconditionError, match="monic"):
+        solve_problem_2_4(q, IntPoly([1, 1]), 3)
 
 
 def test_common_root_mod_ell():

@@ -150,3 +150,21 @@ def divisors(n):
     for p, e in factorize(n).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
+
+
+def euler_phi(n):
+    """Euler's totient of n >= 1."""
+    r = n
+    for p in factorize(n):
+        r = r // p * (p - 1)
+    return r
+
+
+def index_gamma0(n):
+    """Index of Gamma0(N) in SL2(Z): N * prod_{p|N} (1 + 1/p)."""
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    b = n
+    for p in factorize(n):
+        b = b // p * (p + 1)
+    return b

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 non-coprime input, 4 cap exceeded,
-5 precondition violated.
+Exit codes: 0 success, 2 parse error, 3 non-coprime input, 4 cap exceeded
+(level, factorization or class-splitting prime cap), 5 precondition violated.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .hecke_io import (
     result_lines,
 )
 from .intpoly import FactorizationCapError, IntPoly
-from .modsym import DEFAULT_LEVEL_CAP, LevelCapError, newform_classes
+from .modsym import DEFAULT_LEVEL_CAP, ClassSeparationError, LevelCapError, newform_classes
 from .pipeline import (
     ComparisonOptions,
     compare_newforms,
@@ -144,7 +144,7 @@ def charpoly(level, prime, class_id, cap):
             if class_id is not None and cls.id != class_id:
                 continue
             click.echo(export_class(cls, prime or []).rstrip("\n"))
-    except (LevelCapError, FactorizationCapError) as e:
+    except (LevelCapError, FactorizationCapError, ClassSeparationError) as e:
         click.echo(f"error: {e}", err=True)
         raise click.exceptions.Exit(EXIT_CAP) from None
 
@@ -200,7 +200,7 @@ def eisenstein(level, cutoff, cap):
                     f"EIS id={cls.id} ell={e.ell} n={e.exponent} "
                     f"mazur={e.mazur_valuation}"
                 )
-    except (LevelCapError, FactorizationCapError) as e:
+    except (LevelCapError, FactorizationCapError, ClassSeparationError) as e:
         click.echo(f"error: {e}", err=True)
         raise click.exceptions.Exit(EXIT_CAP) from None
     except PreconditionError as e:

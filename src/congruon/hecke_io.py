@@ -8,11 +8,13 @@ Results lines:
     DETAIL f=<token> g=<token> p=<prime> c=<int> d=<int> method=<cn|np|oldspace>
 
 The results store is append-only under an advisory lock, deduplicated by
-(f, g, options hash); a compaction pass rewrites it without duplicates.
+(f, g, options hash); a compaction pass rewrites it without duplicates into
+a temporary file that atomically replaces the store.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import hashlib
 import os
@@ -216,74 +218,75 @@ def options_hash(options):
 
 
 class ResultsStore:
-    """Append-only results file with advisory locking and deduplication."""
+    """Append-only results file with advisory locking and deduplication.
+
+    The lock is taken on the sidecar file `<path>.lock`, not on the store,
+    so it still serializes writers after a compaction replaced the store.
+    """
 
     def __init__(self, path):
         self.path = path
 
-    def _dedup_keys(self, text):
-        keys = set()
-        for line in text.splitlines():
-            if line.startswith("# cmp "):
-                fields = dict(
-                    part.split("=", 1) for part in line.split()[2:] if "=" in part
-                )
-                keys.add((fields.get("f"), fields.get("g"), fields.get("opts")))
-        return keys
+    @contextlib.contextmanager
+    def _locked(self, operation):
+        with open(self.path + ".lock", "a") as lock:
+            fcntl.flock(lock, operation)
+            yield  # closing the lock file releases the lock
+
+    @staticmethod
+    def _key(line):
+        """(f, g, options hash) of a record's '# cmp' line, else None."""
+        if not line.startswith("# cmp "):
+            return None
+        fields = dict(part.split("=", 1) for part in line.split()[2:] if "=" in part)
+        return fields.get("f"), fields.get("g"), fields.get("opts")
 
     def append(self, record):
         """Append a record unless an identical (f, g, options) one exists."""
-        with open(self.path, "a+") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                fh.seek(0)
-                existing = fh.read()
-                key = (record.f_id, record.g_id, record.options_hash)
-                if key in self._dedup_keys(existing):
-                    return False
-                fh.write("\n".join(result_lines(record)) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-                return True
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
+        with self._locked(fcntl.LOCK_EX), open(self.path, "a+") as fh:
+            fh.seek(0)
+            existing = fh.read()
+            key = (record.f_id, record.g_id, record.options_hash)
+            if key in map(self._key, existing.splitlines()):
+                return False
+            fh.write("\n".join(result_lines(record)) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+            return True
 
     def read_text(self):
         if not os.path.exists(self.path):
             return ""
-        with open(self.path) as fh:
-            fcntl.flock(fh, fcntl.LOCK_SH)
-            try:
-                return fh.read()
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
+        with self._locked(fcntl.LOCK_SH), open(self.path) as fh:
+            return fh.read()
 
     def compact(self):
-        """Rewrite the store keeping the first copy of each record block."""
-        with open(self.path, "a+") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
+        """Rewrite the store keeping the first copy of each record block.
+
+        The result is written and fsynced to `<path>.compact`, then renamed
+        over the store, so a crash at any point leaves a complete store.
+        """
+        tmp = self.path + ".compact"
+        with self._locked(fcntl.LOCK_EX):
+            with open(self.path, "a+") as fh:
                 fh.seek(0)
                 lines = fh.read().splitlines()
-                seen = set()
-                out = []
-                keep = True
-                for line in lines:
-                    if line.startswith("# cmp "):
-                        fields = dict(
-                            part.split("=", 1)
-                            for part in line.split()[2:]
-                            if "=" in part
-                        )
-                        key = (fields.get("f"), fields.get("g"), fields.get("opts"))
-                        keep = key not in seen
-                        seen.add(key)
-                    if keep:
-                        out.append(line)
-                fh.seek(0)
-                fh.truncate()
-                fh.write("\n".join(out) + ("\n" if out else ""))
-                fh.flush()
-                os.fsync(fh.fileno())
+            seen = set()
+            out = []
+            keep = True
+            for line in lines:
+                key = self._key(line)
+                if key is not None:
+                    keep = key not in seen
+                    seen.add(key)
+                if keep:
+                    out.append(line)
+            try:
+                with open(tmp, "w") as fh:
+                    fh.write("\n".join(out) + ("\n" if out else ""))
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, self.path)
             finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(tmp)

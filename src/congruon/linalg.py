@@ -1,41 +1,54 @@
-"""Exact linear algebra over the rationals (dense, Fraction-based).
+"""Exact linear algebra over the rationals, integers first.
 
-Vectors are lists of Fractions. Matrices are lists of rows. Operators act on
-column vectors: (A @ v)[i] = sum_j A[i][j] v[j]. No floating point anywhere.
+Vectors are lists and matrices are lists of rows. Operators act on column
+vectors: (A @ v)[i] = sum_j A[i][j] v[j]. An entry is an int wherever it is
+integral and a Fraction only where it is not: rref, restriction and f(A)
+clear denominators, run in int and divide once at the end; only the
+Hessenberg reduction in charpoly runs in Fraction. No floating point.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .intpoly import IntPoly
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _exact(x, d):
+    """x / d as an int when d divides x, else as a Fraction."""
+    return x // d if x % d == 0 else Fraction(x, d)
 
 
-def frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _denominator(values):
+    """The least common denominator of rational values."""
+    return math.lcm(1, *(x.denominator for x in values))
 
 
-def zero_matrix(nrows, ncols):
-    return [[ZERO] * ncols for _ in range(nrows)]
+def _times(row, d):
+    """d * row as ints, for a common denominator d of its entries."""
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [
-        [sum((x * y for x, y in zip(row, col) if x), ZERO) for col in bt] for row in a
-    ]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v) if x), ZERO) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (new rows, pivot column list)."""
-    a = frac_rows(rows)
+    """Reduced row echelon form; returns (new rows, pivot column list).
+
+    Fraction-free Gauss-Jordan on the rows scaled to integers, each combined
+    row divided by its content; each row is divided by its pivot once at the
+    end.
+    """
+    a = [_times(row, _denominator(row)) for row in rows]
     if not a:
         return [], []
     ncols = len(a[0])
@@ -46,23 +59,25 @@ def rref(rows):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][j]
-        if inv != 1:
-            a[r] = [x * inv if x else ZERO for x in a[r]]
         row_r = a[r]
+        p = row_r[j]
         for i in range(len(a)):
-            if i != r and a[i][j]:
-                f = a[i][j]
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], row_r)]
+            f = a[i][j]
+            if i != r and f:
+                g = math.gcd(p, f)
+                u, w = p // g, f // g
+                new = [u * x - w * y for x, y in zip(a[i], row_r)]
+                g = math.gcd(*new)
+                a[i] = [x // g for x in new] if g > 1 else new
         pivots.append(j)
         r += 1
         if r == len(a):
             break
-    return a[:r], pivots
+    return [[_exact(x, row[j]) for x in row] for row, j in zip(a, pivots)], pivots
 
 
 def nullspace(rows, ncols=None):
-    """Basis of {v : A v = 0} as a list of vectors."""
+    """Basis of {v : A v = 0} as a list of primitive integer vectors."""
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty matrix")
@@ -72,46 +87,51 @@ def nullspace(rows, ncols=None):
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+        v = [0] * ncols
+        v[f] = 1
         for row, pj in zip(red, pivots):
             v[pj] = -row[f]
-        basis.append(v)
+        basis.append(_times(v, _denominator(v)))
     return basis
 
 
-def solve_in_span(basis_columns, targets):
-    """Express each target vector in terms of the basis columns.
+@dataclass(frozen=True)
+class EchelonBasis:
+    """Reduced echelon basis of a span, held in integers: rows[i] / denom is
+    the i-th reduced row and pivots[i] its pivot column, so a vector w of
+    the span is sum_i w[pivots[i]] * rows[i] / denom."""
 
-    basis_columns: list of s independent vectors of length n.
-    targets: list of vectors of length n, each required to lie in the span.
-    Returns the s x len(targets) coefficient matrix X with B X = T.
+    rows: list
+    denom: int
+    pivots: list
+
+    @classmethod
+    def of(cls, vectors):
+        """Echelon basis of the span of independent vectors."""
+        red, pivots = rref(vectors)
+        if len(pivots) != len(vectors):
+            raise ValueError("basis vectors are not independent")
+        d = _denominator(x for row in red for x in row)
+        return cls([_times(row, d) for row in red], d, pivots)
+
+
+def restrict_operator(op, span):
+    """Matrix of op on an EchelonBasis span, in its echelon basis.
+
+    Each image op * rows[j] is read at the pivot columns. Raises ValueError
+    unless the span is stable under op, i.e. unless op * rows[j] is exactly
+    sum_i (op * rows[j])[pivots[i]] * rows[i] / denom.
     """
-    s = len(basis_columns)
-    n = len(basis_columns[0]) if s else 0
-    t = len(targets)
-    aug = [
-        [Fraction(basis_columns[j][i]) for j in range(s)]
-        + [Fraction(tv[i]) for tv in targets]
-        for i in range(n)
-    ]
-    red, pivots = rref(aug)
-    if any(p >= s for p in pivots):
-        raise ValueError("target vector outside the span of the basis")
-    x = zero_matrix(s, t)
-    for row, pj in zip(red, pivots):
-        for k in range(t):
-            x[pj][k] = row[s + k]
-    return x
-
-
-def restrict_operator(op, basis_columns):
-    """Matrix of op on the span of basis_columns: solves B M = op B.
-
-    Raises ValueError if the span is not stable under op.
-    """
-    images = [mat_vec(op, v) for v in basis_columns]
-    return solve_in_span(basis_columns, images)
+    d = span.denom
+    columns = list(zip(*span.rows))
+    out = []
+    for v in span.rows:
+        w = mat_vec(op, v)
+        k = [w[p] for p in span.pivots]
+        if any(sum(map(mul, k, col)) != d * x for col, x in zip(columns, w)):
+            raise ValueError("span is not stable under the operator")
+        out.append([_exact(x, d) for x in k])
+    return [list(row) for row in zip(*out)]
 
 
 def _hessenberg(a):
@@ -145,16 +165,16 @@ def charpoly(a):
     n = len(a)
     if n == 0:
         return IntPoly([1])
-    h = _hessenberg(frac_rows(a))
+    h = _hessenberg([[Fraction(x) for x in row] for row in a])
     # p[m] = charpoly of the top-left m x m block, as Fraction coeff lists
-    p = [[ONE]]
+    p = [[Fraction(1)]]
     for m in range(1, n + 1):
         # (X - h[m-1][m-1]) * p[m-1]
         prev = p[m - 1]
-        cur = [ZERO] + prev
+        cur = [Fraction(0)] + prev
         for i, c in enumerate(prev):
             cur[i] -= h[m - 1][m - 1] * c
-        t = ONE
+        t = Fraction(1)
         for i in range(m - 1, 0, -1):
             t *= h[i][i - 1]
             coef = h[i - 1][m - 1] * t
@@ -171,11 +191,21 @@ def charpoly(a):
 
 
 def apply_poly(f, a):
-    """f(A) for an IntPoly f and square matrix A (Horner)."""
+    """f(A) for an IntPoly f and square matrix A.
+
+    Horner runs in int on B = d*A, d the common denominator of A, and gives
+    d^deg(f) * f(A), which is divided by d^deg(f) once.
+    """
     n = len(a)
-    acc = zero_matrix(n, n)
-    for c in reversed(f.coeffs):
-        acc = mat_mul(acc, a)
+    d = _denominator(x for row in a for x in row)
+    b = [_times(row, d) for row in a]
+    acc = [[0] * n for _ in range(n)]
+    for k, c in enumerate(reversed(f.coeffs)):
+        if k:
+            acc = mat_mul(acc, b)
         for i in range(n):
-            acc[i][i] += c
-    return acc
+            acc[i][i] += c * d**k
+    den = d ** max(len(f.coeffs) - 1, 0)
+    if den == 1:
+        return acc
+    return [[_exact(x, den) for x in row] for row in acc]

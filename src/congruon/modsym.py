@@ -3,22 +3,27 @@ subspace, and its decomposition into Galois conjugacy classes.
 
 Manin symbols are indexed by P^1(Z/NZ); the space is the quotient by the
 two-term (x + xS = 0) and three-term (x + xU + xU^2 = 0) relations, with
-S: (c:d) -> (d:-c) and U: (c:d) -> (d:-c-d). Everything is exact rational
-arithmetic; characteristic polynomials come out integral.
+S: (c:d) -> (d:-c) and U: (c:d) -> (d:-c-d). Everything is exact and
+integers first (see `linalg`): presentation columns are sparse, Hecke
+matrices are summed in int, and a subspace is held as its reduced echelon
+basis over one common denominator. Characteristic polynomials come out
+integral.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from array import array
 from fractions import Fraction
 
-from .arith import divisors, factorize, is_prime, prime_divisors, primes_upto, xgcd
+from .arith import divisors, euler_phi, factorize, index_gamma0, is_prime
+from .arith import prime_divisors, primes_upto, xgcd
 from .intpoly import FactorizationCapError, IntPoly, factor_over_z
 from .linalg import (
-    ZERO,
+    EchelonBasis,
     apply_poly,
     charpoly,
+    mat_mul,
     nullspace,
     restrict_operator,
     rref,
@@ -55,21 +60,32 @@ def _lift_unit(n, d, a):
 
 
 class P1:
-    """Representatives of the projective line P^1(Z/NZ)."""
+    """Representatives of the projective line P^1(Z/NZ).
+
+    table[c * N + d] is the index of the representative of (c:d) for
+    0 <= c, d < N, or -1 where (c:d) is not a projective point.
+    """
 
     def __init__(self, n):
         if n < 1:
             raise ValueError("level must be >= 1")
         self.n = n
-        reps = set()
+        # First the code r_c * N + r_d of each pair's representative, set
+        # for a whole unit orbit {(uc:ud)} at once; then its index among the
+        # sorted representatives.
+        units = [u for u in range(n) if math.gcd(u, n) == 1]
+        self.table = array("i", [-1]) * (n * n)
         for c in range(n):
             for d in range(n):
-                r = self.reduce((c, d))
-                if r is not None:
-                    reps.add(r)
-        if n == 1:
-            reps = {(0, 0)}
-        self._list = sorted(reps)
+                if self.table[c * n + d] < 0 and (r := self.reduce((c, d))) is not None:
+                    for u in units:
+                        self.table[u * c % n * n + u * d % n] = r[0] * n + r[1]
+        codes = sorted(set(self.table) - {-1})
+        self._list = [divmod(code, n) for code in codes]
+        position = {code: i for i, code in enumerate(codes)}
+        for k, code in enumerate(self.table):
+            if code >= 0:
+                self.table[k] = position[code]
 
     def __len__(self):
         return len(self._list)
@@ -103,11 +119,10 @@ class P1:
         return (g, d)
 
     def index(self, pair):
-        r = self.reduce(pair)
-        if r is None:
-            raise ValueError(f"{pair} is not a point of P^1(Z/{self.n}Z)")
-        i = bisect_left(self._list, r)
-        assert self._list[i] == r
+        n = self.n
+        i = self.table[pair[0] % n * n + pair[1] % n]
+        if i < 0:
+            raise ValueError(f"{pair} is not a point of P^1(Z/{n}Z)")
         return i
 
 
@@ -175,9 +190,7 @@ class _CuspList:
 def _cusp_invariants(n):
     """(index b, nu2, nu3, nu_inf) for Gamma0(N)."""
     fac = factorize(n)
-    b = n
-    for p in fac:
-        b = b // p * (p + 1)
+    b = index_gamma0(n)
     if n % 4 == 0:
         nu2 = 0
     else:
@@ -197,15 +210,8 @@ def _cusp_invariants(n):
     nu_inf = 0
     for d in divisors(n):
         g = math.gcd(d, n // d)
-        nu_inf += _euler_phi(g)
+        nu_inf += euler_phi(g)
     return b, nu2, nu3, nu_inf
-
-
-def _euler_phi(n):
-    r = n
-    for p in factorize(n):
-        r = r // p * (p - 1)
-    return r
 
 
 def genus_x0(n):
@@ -258,29 +264,23 @@ class ModSymSpace:
         self._generators = [self.p1[reps[k]] for k in free]
         self.dimension = len(free)
 
-        # Expression of each reduced variable in the free basis.
+        # Sparse expression of each reduced variable in the free basis, as
+        # (position, coefficient) pairs.
         expr = [None] * nvars
         for pos, k in enumerate(free):
-            v = [ZERO] * self.dimension
-            v[pos] = Fraction(1)
-            expr[k] = v
+            expr[k] = ((pos, 1),)
         for row, pj in zip(red, pivots):
-            v = [ZERO] * self.dimension
-            for pos, k in enumerate(free):
-                if row[k]:
-                    v[pos] = -row[k]
-            expr[pj] = v
+            expr[pj] = tuple((pos, -row[k]) for pos, k in enumerate(free) if row[k])
 
-        # Presentation columns: P^1 index -> coordinates in the free basis.
-        zero_vec = [ZERO] * self.dimension
+        # Presentation columns: P^1 index -> sparse coordinates in the free
+        # basis.
         self._columns = []
         for i in range(npts):
             if var_of[i] is None:
-                self._columns.append(zero_vec)
+                self._columns.append(())
             else:
                 k, sgn = var_of[i]
-                col = expr[k] if sgn == 1 else [-x for x in expr[k]]
-                self._columns.append(col)
+                self._columns.append(tuple((pos, sgn * x) for pos, x in expr[k]))
 
         # Consistency: relation rank + dimension accounts for all variables,
         # and the dimension matches the Eichler-Shimura count.
@@ -300,38 +300,30 @@ class ModSymSpace:
 
     def symbol_vector(self, pair):
         """Coordinates of the Manin symbol at (c:d) in the free basis."""
-        return list(self._columns[self.p1.index(pair)])
+        v = [0] * self.dimension
+        for pos, x in self._columns[self.p1.index(pair)]:
+            v[pos] = x
+        return v
 
     # -- Hecke action -------------------------------------------------------
 
-    def _action_matrix(self, mat):
-        """Matrix of the right action of an integer matrix on the space."""
-        n = self.n
-        a, b, c2, d2 = mat
-        out = [[ZERO] * self.dimension for _ in range(self.dimension)]
-        for col, (c, d) in enumerate(self.generator_symbols()):
-            c1 = (c * a + d * c2) % n
-            d1 = (c * b + d * d2) % n
-            if n > 1 and math.gcd(math.gcd(c1, d1), n) > 1:
-                continue
-            image = self._columns[self.p1.index((c1, d1))]
-            for row in range(self.dimension):
-                if image[row]:
-                    out[row][col] += image[row]
-        return out
-
     def hecke_matrix(self, p):
-        """Matrix of T_p (U_p when p | N) on the full space."""
+        """Matrix of T_p (U_p when p | N) on the full space.
+
+        The image of each generator under each Merel matrix is added
+        straight into the total; off-P^1 images contribute nothing.
+        """
         if p in self._hecke_cache:
             return self._hecke_cache[p]
-        total = [[ZERO] * self.dimension for _ in range(self.dimension)]
-        for mat in merel_matrices(p):
-            part = self._action_matrix(mat)
-            for i in range(self.dimension):
-                ri, pi = total[i], part[i]
-                for j in range(self.dimension):
-                    if pi[j]:
-                        ri[j] += pi[j]
+        n = self.n
+        table, columns = self.p1.table, self._columns
+        total = [[0] * self.dimension for _ in range(self.dimension)]
+        for a, b, c2, d2 in merel_matrices(p):
+            for col, (c, d) in enumerate(self._generators):
+                i = table[(c * a + d * c2) % n * n + (c * b + d * d2) % n]
+                if i >= 0:
+                    for row, x in columns[i]:
+                        total[row][col] += x
         self._hecke_cache[p] = total
         return total
 
@@ -346,7 +338,7 @@ class ModSymSpace:
         for col, (c, d) in enumerate(self.generator_symbols()):
             a, b, cc, dd = lift_to_sl2z(c, d, self.n)
             entries.append((cusps.index((a, cc)), cusps.index((b, dd)), col))
-        mat = [[ZERO] * self.dimension for _ in range(len(cusps))]
+        mat = [[0] * self.dimension for _ in range(len(cusps))]
         for i_plus, i_minus, col in entries:
             mat[i_plus][col] += 1
             mat[i_minus][col] -= 1
@@ -363,7 +355,7 @@ class ModSymSpace:
         """
         num, den = cusp
         if den == 0:
-            return [ZERO] * self.dimension
+            return [0] * self.dimension
         if den < 0:
             num, den = -num, -den
         # continued-fraction expansion of num/den (floor division)
@@ -382,16 +374,14 @@ class ModSymSpace:
             convergents.append((p_k, q_k))
             pm2, qm2 = pm1, qm1
             pm1, qm1 = p_k, q_k
-        total = [ZERO] * self.dimension
+        total = [0] * self.dimension
         prev_p, prev_q = 1, 0
         for p_k, q_k in convergents:
             det = p_k * prev_q - prev_p * q_k
             assert det in (1, -1)
             # Manin symbol of [[p_k, det*prev_p], [q_k, det*prev_q]] (det 1)
-            col = self._columns[self.p1.index((q_k, det * prev_q))]
-            for i in range(self.dimension):
-                if col[i]:
-                    total[i] += col[i]
+            for i, x in self._columns[self.p1.index((q_k, det * prev_q))]:
+                total[i] += x
             prev_p, prev_q = p_k, q_k
         return total
 
@@ -403,27 +393,24 @@ class ModSymSpace:
 
 
 class Subspace:
-    """Hecke-stable subspace given by a basis of column vectors."""
+    """Hecke-stable subspace spanned by independent vectors, held as its
+    reduced echelon basis (computed once)."""
 
     def __init__(self, space, basis, tag, check_stability=True):
         self.space = space
-        self.basis = [list(v) for v in basis]
+        self.echelon = EchelonBasis.of(basis)
         self.tag = tag
-        if self.basis:
-            aug, piv = rref(list(map(list, zip(*self.basis))))
-            if len(piv) != len(self.basis):
-                raise ValueError("subspace basis is not independent")
-        if check_stability and self.basis:
+        if check_stability and self.dimension:
             for p in (2, 3, 5, 7):
-                restrict_operator(space.hecke_matrix(p), self.basis)
+                restrict_operator(space.hecke_matrix(p), self.echelon)
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.echelon.rows)
 
     def hecke_matrix(self, p):
-        """Matrix of T_p restricted to this subspace."""
-        return restrict_operator(self.space.hecke_matrix(p), self.basis)
+        """Matrix of T_p restricted to this subspace, in its echelon basis."""
+        return restrict_operator(self.space.hecke_matrix(p), self.echelon)
 
     def hecke_charpoly(self, p):
         return charpoly(self.hecke_matrix(p))
@@ -453,7 +440,7 @@ def _degeneracy_matrix(space, small_space, t):
         alpha = _scale_cusp(b, dd, t)
         beta = _scale_cusp(a, cc, t)
         cols.append(small_space.symbol_between_cusps(alpha, beta))
-    mat = [[ZERO] * space.dimension for _ in range(rows)]
+    mat = [[0] * space.dimension for _ in range(rows)]
     for j, col in enumerate(cols):
         for i in range(rows):
             if col[i]:
@@ -559,49 +546,43 @@ def decompose_into_classes(sub):
     n = space.n
     if sub.dimension == 0:
         return []
-    pieces = [(sub.basis, False, False)]  # (basis, separated, capped)
+    pieces = [(sub, False, False)]  # (subspace, separated, capped)
     split_primes = [p for p in primes_upto(MAX_SPLIT_PRIME) if n % p != 0]
     for p in split_primes:
         if all(done or capped for _, done, capped in pieces):
             break
-        op = space.hecke_matrix(p)
         new_pieces = []
-        for basis, done, capped in pieces:
+        for piece, done, capped in pieces:
             if done or capped:
-                new_pieces.append((basis, done, capped))
+                new_pieces.append((piece, done, capped))
                 continue
-            m = restrict_operator(op, basis)
+            m = piece.hecke_matrix(p)
             chi = charpoly(m)
             try:
                 factors = factor_over_z(chi)
             except FactorizationCapError:
-                new_pieces.append((basis, False, True))
+                new_pieces.append((piece, False, True))
                 continue
             if len(factors) == 1:
                 fac, mult = factors[0]
                 sep = mult == 2 and p <= MAX_WITNESS_PRIME
-                new_pieces.append((basis, sep, False))
+                new_pieces.append((piece, sep, False))
                 continue
             for fac, mult in factors:
-                ker = nullspace(apply_poly(fac**mult, m), len(basis))
-                piece_basis = [
-                    [
-                        sum((k[j] * basis[j][i] for j in range(len(basis))), ZERO)
-                        for i in range(space.dimension)
-                    ]
-                    for k in ker
-                ]
+                # kernel coordinates are on the piece's echelon rows
+                ker = nullspace(apply_poly(fac**mult, m), piece.dimension)
+                rows = mat_mul(ker, piece.echelon.rows)
+                part = Subspace(space, rows, "class", check_stability=False)
                 sep = (
                     mult == 2
-                    and fac.degree * 2 == len(piece_basis)
+                    and fac.degree * 2 == part.dimension
                     and p <= MAX_WITNESS_PRIME
                 )
-                new_pieces.append((piece_basis, sep, False))
+                new_pieces.append((part, sep, False))
         pieces = new_pieces
     classes = []
     unsplit = []
-    for basis, done, capped in pieces:
-        piece = Subspace(space, basis, "class", check_stability=False)
+    for piece, done, capped in pieces:
         if capped:
             unsplit.append(
                 NewformClass(

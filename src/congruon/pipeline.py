@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime, primes_upto, valuation
+from .arith import factorize, index_gamma0, is_prime, primes_upto, valuation
 from .congruence import NotCoprimeError, PreconditionError, congruence_number
 from .hecke_io import ComparisonRecord, PerPrimeDetail, options_hash
 from .intpoly import IntPoly
@@ -44,16 +44,6 @@ class ComparisonOptions:
     include_p_dividing_levels: bool = False
     assert_irreducible: bool = False
     prime_cutoff_override: int | None = None
-
-
-def index_gamma0(n):
-    """Index of Gamma0(N) in SL2(Z): N * prod_{p|N} (1 + 1/p)."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    b = n
-    for p in factorize(n):
-        b = b // p * (p + 1)
-    return b
 
 
 def sturm_bound(n, k):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from congruon.arith import (
     divisors,
+    euler_phi,
     factorize,
+    index_gamma0,
     inverse_mod,
     is_prime,
     prime_divisors,
@@ -66,3 +68,14 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(72) == sorted(d for d in range(1, 73) if 72 % d == 0)
+
+
+def test_euler_phi_and_index_gamma0():
+    for n in range(1, 100):
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        # pairs (c, d) mod N with gcd(c, d, N) = 1: the units times P^1(Z/NZ),
+        # whose size is the index of Gamma0(N)
+        pairs = sum(
+            1 for c in range(n) for d in range(n) if math.gcd(c, d, n) == 1
+        )
+        assert index_gamma0(n) * euler_phi(n) == pairs

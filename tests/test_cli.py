@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import congruon.congruence
+import congruon.modsym
 from congruon.cli import main
 from congruon.hecke_io import export_class
 from congruon.modsym import newform_classes
@@ -138,6 +139,15 @@ def test_factorization_cap_exit_code(runner, args):
     r = _run(runner, args, env={"CONGRUON_FACTOR_CAP": "1"})
     assert r.exit_code == 4
     assert "factorization cap exceeded" in r.output
+
+
+@pytest.mark.parametrize("command", ["charpoly", "eisenstein"])
+def test_class_separation_cap_exit_code(runner, monkeypatch, command):
+    # no splitting prime up to 2 avoids level 14, so no class is separated
+    monkeypatch.setattr(congruon.modsym, "MAX_SPLIT_PRIME", 2)
+    r = _run(runner, [command, "--level", "14"])
+    assert r.exit_code == 4
+    assert "class separation failed" in r.output
 
 
 def test_charpoly_bad_prime(runner):

@@ -1,3 +1,4 @@
+import os
 import threading
 from fractions import Fraction
 
@@ -117,6 +118,48 @@ def test_store_append_dedup_compact(tmp_path):
     assert store.read_text().count("RESULT ") == 3
     store.compact()
     assert store.read_text().count("RESULT ") == 2
+
+
+def test_store_intact_when_compaction_fails(tmp_path, monkeypatch):
+    path = tmp_path / "results.txt"
+    store = ResultsStore(str(path))
+    store.append(_record())
+    with open(path, "a") as fh:
+        fh.write("\n".join(result_lines(_record())) + "\n")
+    before = path.read_text()
+
+    def crash(src, dst):
+        raise OSError("crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="crash"):
+        store.compact()
+    assert path.read_text() == before
+    assert not (tmp_path / "results.txt.compact").exists()
+    monkeypatch.undo()
+    assert store.append(_record(opts="other")) is True
+    store.compact()
+    assert store.read_text().count("RESULT ") == 2
+
+
+def test_store_appends_survive_concurrent_compaction(tmp_path):
+    # an append that waited on the lock during a compaction must land in the
+    # new store file, not in the replaced one
+    path = tmp_path / "results.txt"
+    store = ResultsStore(str(path))
+    records = [_record(f=f"f.{i}") for i in range(32)]
+    threads = [threading.Thread(target=store.append, args=(r,)) for r in records]
+    threads += [threading.Thread(target=store.compact) for _ in range(16)]
+    for t in threads[::2] + threads[1::2]:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    store.compact()
+    text = store.read_text()
+    assert text.count("RESULT ") == 32
+    for i in range(32):
+        assert f"RESULT f=f.{i} " in text
 
 
 def test_store_concurrent_distinct_appends(tmp_path):

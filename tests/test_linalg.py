@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruon.intpoly import IntPoly
 from congruon.linalg import (
+    EchelonBasis,
     apply_poly,
     charpoly,
     mat_mul,
@@ -14,7 +16,6 @@ from congruon.linalg import (
     nullspace,
     restrict_operator,
     rref,
-    solve_in_span,
 )
 
 square = st.integers(1, 5).flatmap(
@@ -79,25 +80,68 @@ def test_cayley_hamilton():
         assert all(x == 0 for row in z for x in row)
 
 
-def test_solve_in_span_and_restrict():
-    basis = [[Fraction(1), Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(1)]]
-    target = [Fraction(2), Fraction(3), Fraction(5)]
-    x = solve_in_span(basis, [target])
-    assert [x[0][0], x[1][0]] == [2, 3]
+def test_echelon_basis_and_restrict():
+    span = EchelonBasis.of([[2, 4, 6], [1, 1, Fraction(3, 2)]])
+    # reduced rows (1, 0, 0) and (0, 1, 3/2) over the common denominator 2
+    assert (span.rows, span.denom, span.pivots) == ([[2, 0, 0], [0, 2, 3]], 2, [0, 1])
     # operator scaling by 2 restricted to any span is 2*I
-    op = [[Fraction(2) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
-    m = restrict_operator(op, basis)
-    assert m == [[2, 0], [0, 2]]
+    op = [[2 if i == j else 0 for j in range(3)] for i in range(3)]
+    assert restrict_operator(op, span) == [[2, 0], [0, 2]]
+    # a swap of the last two coordinates on the span of e1 and e2 + e3
+    swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    span = EchelonBasis.of([[1, 0, 0], [0, 3, 3]])
+    assert restrict_operator(swap, span) == [[1, 0], [0, 1]]
+    m = restrict_operator([[0, 1, 1], [0, 0, 0], [0, 0, 0]], span)
+    assert m == [[0, 2], [0, 0]]
+    assert type(m[0][1]) is int
+    with pytest.raises(ValueError):
+        EchelonBasis.of([[1, 2], [2, 4]])
 
 
-def test_solve_in_span_rejects_outside():
-    basis = [[Fraction(1), Fraction(0)]]
-    try:
-        solve_in_span(basis, [[Fraction(0), Fraction(1)]])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError")
+def test_restrict_operator_rejects_unstable_span():
+    span = EchelonBasis.of([[Fraction(1), Fraction(0)]])
+    with pytest.raises(ValueError):
+        restrict_operator([[0, 0], [1, 0]], span)
+    # stable on the first coordinate, not on the span of e1 + e3 / 3
+    op = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    with pytest.raises(ValueError):
+        restrict_operator(op, EchelonBasis.of([[1, 0, Fraction(1, 3)]]))
+
+
+def test_restriction_matches_solved_coordinates():
+    # B M = A B for the echelon basis B, against sympy's solve
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randrange(2, 6)
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        # a stable span: the kernel of a polynomial in A
+        f = IntPoly([rng.randrange(-3, 4), rng.randrange(-3, 4), 1])
+        ker = nullspace(apply_poly(f, a), n)
+        if not ker:
+            continue
+        span = EchelonBasis.of(ker)
+        m = restrict_operator(a, span)
+        b = sympy.Matrix(span.rows).T / span.denom
+        assert sympy.Matrix(a) * b == b * sympy.Matrix(m)
+
+
+def test_cayley_hamilton_with_denominators():
+    rng = random.Random(7)
+    for den in (3, 4):
+        for _ in range(10):
+            n = rng.randrange(1, 6)
+            a = [[Fraction(rng.randrange(-9, 10), den) for _ in range(n)] for _ in range(n)]
+            chi = IntPoly(
+                [int(c * den**n) for c in reversed(sympy.Matrix(a).charpoly().all_coeffs())]
+            )
+            z = apply_poly(chi, a)
+            assert all(x == 0 for row in z for x in row)
+            # f(A) exactly, also where it is not integral
+            f = IntPoly([1, -2, 0, 1])
+            want = sympy.Matrix(a) ** 3 - 2 * sympy.Matrix(a) + sympy.eye(n)
+            got = apply_poly(f, a)
+            assert sympy.Matrix(got) == want
+            assert all(type(x) is int for row in got for x in row if x.denominator == 1)
 
 
 @given(square, square)

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from congruon.intpoly import IntPoly, discriminant, factor_over_z
-from congruon.linalg import charpoly, mat_mul, mat_vec, restrict_operator
+from congruon.linalg import EchelonBasis, charpoly, mat_mul, mat_vec, restrict_operator
 from congruon.modsym import (
     P1,
     LevelCapError,
     ModSymSpace,
+    Subspace,
     build_space,
     cuspidal_new_subspace,
     cuspidal_subspace,
@@ -84,6 +85,19 @@ def test_p1_reduce_consistency():
                 )
 
 
+@pytest.mark.parametrize("n", [1, 12, 36, 90])
+def test_p1_index_agrees_with_reduce(n):
+    p1 = P1(n)
+    for c in range(-n, 2 * n):
+        for d in range(-n, 2 * n):
+            r = p1.reduce((c, d))
+            if r is None:
+                with pytest.raises(ValueError):
+                    p1.index((c, d))
+            else:
+                assert p1[p1.index((c, d))] == r
+
+
 def test_merel_set_determinant_and_p2():
     mats = list(merel_matrices(2))
     assert len(mats) == 4
@@ -144,6 +158,37 @@ def test_hecke_commutativity_sample():
         for p in (2, 3):
             for q in (3, 5):
                 assert mat_mul(mats[p], mats[q]) == mat_mul(mats[q], mats[p])
+
+
+def test_full_space_hecke_matrices_are_int():
+    for n in (11, 36, 90, 130):
+        space = build_space(n)
+        for p in (2, 3, 5, 7):
+            assert all(type(x) is int for row in space.hecke_matrix(p) for x in row)
+
+
+@pytest.mark.parametrize("n", [90, 114, 130, 135])
+def test_hecke_commutativity_on_new_subspace(n):
+    new = cuspidal_new_subspace(build_space(n))
+    if n != 90:
+        # echelon denominators 2, 5 and 4, so restriction divides by them
+        assert new.echelon.denom > 1
+    primes = [p for p in (2, 3, 5, 7, 11) if n % p]
+    mats = {p: new.hecke_matrix(p) for p in primes}
+    for p in primes:
+        for q in primes:
+            assert mat_mul(mats[p], mats[q]) == mat_mul(mats[q], mats[p])
+
+
+def test_restriction_to_unstable_span_rejected():
+    space = build_space(37)
+    cusp = cuspidal_subspace(space)
+    # one vector of the cuspidal space spans no T_2-stable line here
+    line = EchelonBasis.of(cusp.echelon.rows[:1])
+    with pytest.raises(ValueError):
+        restrict_operator(space.hecke_matrix(2), line)
+    with pytest.raises(ValueError):
+        Subspace(space, cusp.echelon.rows[:1], "line")
 
 
 def test_path_vector_boundary_consistency():

@@ -6,6 +6,13 @@ when a change to the output is intended) from the repository root with:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden; open(test_golden.GOLDEN, 'w').write(test_golden.golden_text())"
+
+`golden/charpolys_high.txt` holds the same for levels 301 and 389 (engine
+cap raised to 400); the 389 block carries a degree-20 class. Regenerate it
+with:
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+import test_golden as g; open(g.GOLDEN_HIGH, 'w').write(g.golden_text(g.HIGH_LEVELS))"
 """
 
 from pathlib import Path
@@ -16,14 +23,22 @@ from congruon.pipeline import sturm_bound
 
 GOLDEN = Path(__file__).parent / "golden" / "charpolys.txt"
 LEVELS = [*range(11, 121), 155, 233]
+GOLDEN_HIGH = Path(__file__).parent / "golden" / "charpolys_high.txt"
+HIGH_LEVELS = [301, 389]
 
 
-def golden_text():
-    primes = {n: sturm_bound(n, 2).primes for n in LEVELS}
+def golden_text(levels=LEVELS):
+    primes = {n: sturm_bound(n, 2).primes for n in levels}
     return "".join(
-        export_class(cls, primes[n]) for n in LEVELS for cls in newform_classes(n)
+        export_class(cls, primes[n])
+        for n in levels
+        for cls in newform_classes(n, cap=max(levels))
     )
 
 
 def test_engine_reproduces_golden_charpolys():
     assert golden_text() == GOLDEN.read_text()
+
+
+def test_engine_reproduces_golden_charpolys_high_levels():
+    assert golden_text(HIGH_LEVELS) == GOLDEN_HIGH.read_text()

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .arith import inverse_mod, is_prime
@@ -164,9 +163,26 @@ class IntPoly:
         return IntPoly([c // g for c in self.coeffs])
 
     def divmod_exact(self, divisor):
-        """Quotient and remainder over Q, both required to be integral."""
-        q, r = _poly_divmod_q(self, divisor)
-        return _q_to_int(q), _q_to_int(r)
+        """Quotient and remainder over Q, both required to be integral.
+
+        Long division in int; the quotient is integral iff lc(divisor)
+        divides the leading coefficient at every step, so the first step
+        where it does not raises ValueError.
+        """
+        if divisor.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(self.coeffs)
+        db, lead = divisor.degree, divisor.leading
+        q = [0] * max(len(r) - db, 0)
+        for i in range(len(r) - 1, db - 1, -1):
+            if r[i]:
+                f, rem = divmod(r[i], lead)
+                if rem:
+                    raise ValueError("division is not exact over the integers")
+                q[i - db] = f
+                for j, bc in enumerate(divisor.coeffs):
+                    r[i - db + j] -= f * bc
+        return IntPoly(q), IntPoly(r[:db])
 
     def __repr__(self):
         if self.is_zero:
@@ -187,31 +203,6 @@ class IntPoly:
                 else:
                     terms.append(f"{c}*{mono}")
         return "IntPoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
-
-
-def _poly_divmod_q(a, b):
-    """Division with remainder over the rationals; returns Fraction coeff lists."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in a.coeffs]
-    q = [Fraction(0)] * max(len(r) - b.degree, 0)
-    lead = Fraction(b.leading)
-    for i in range(len(r) - 1, b.degree - 1, -1):
-        if r[i]:
-            f = r[i] / lead
-            q[i - b.degree] = f
-            for j, bc in enumerate(b.coeffs):
-                r[i - b.degree + j] -= f * bc
-    return q, r[: b.degree] if b.degree > 0 else []
-
-
-def _q_to_int(coeffs):
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError("division is not exact over the integers")
-        out.append(c.numerator)
-    return IntPoly(out)
 
 
 def divides(d, p):

@@ -3,8 +3,8 @@
 Vectors are lists and matrices are lists of rows. Operators act on column
 vectors: (A @ v)[i] = sum_j A[i][j] v[j]. An entry is an int wherever it is
 integral and a Fraction only where it is not: rref, restriction and f(A)
-clear denominators, run in int and divide once at the end; only the
-Hessenberg reduction in charpoly runs in Fraction. No floating point.
+clear denominators, run in int and divide once at the end, and charpoly
+works modulo primes and joins the results by CRT. No floating point.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .arith import is_prime
 from .intpoly import IntPoly
 
 
@@ -134,10 +135,27 @@ def restrict_operator(op, span):
     return [list(row) for row in zip(*out)]
 
 
-def _hessenberg(a):
-    """Upper Hessenberg form by exact similarity transforms (in place copy)."""
-    n = len(a)
-    h = [row[:] for row in a]
+_MODULI = []  # the primes below 2^61, descending, found on first use
+
+
+def _modulus(i):
+    """The i-th prime below 2^61, counting down from i = 0."""
+    while len(_MODULI) <= i:
+        p = (_MODULI[-1] if _MODULI else 2**61) - 1
+        while not is_prime(p):
+            p -= 1
+        _MODULI.append(p)
+    return _MODULI[i]
+
+
+def _charpoly_mod(k, p):
+    """Coefficients of det(X*I - K) mod p, ascending, for an int matrix K.
+
+    Hessenberg reduction over F_p, each pivot chosen nonzero mod p, then the
+    recurrence on the charpolys of the leading principal blocks.
+    """
+    n = len(k)
+    h = [[x % p for x in row] for row in k]
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
@@ -146,47 +164,63 @@ def _hessenberg(a):
             h[m], h[piv] = h[piv], h[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
-        t = h[m][m - 1]
-        for i in range(m + 1, n):
-            if h[i][m - 1]:
-                u = h[i][m - 1] / t
-                h[i] = [x - u * y if y else x for x, y in zip(h[i], h[m])]
-                for row in h:
-                    row[m] += u * row[i]
-    return h
+        # rows i > m lose u_i * row m, then column m gains sum u_i * column i
+        inv = pow(h[m][m - 1], -1, p)
+        us = [h[i][m - 1] * inv % p for i in range(m + 1, n)]
+        for i, u in enumerate(us, m + 1):
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+        for row in h:
+            row[m] = (row[m] + sum(map(mul, us, row[m + 1 :]))) % p
+    # c[m] = charpoly of the top-left m x m block
+    c = [[1]]
+    for m in range(1, n + 1):
+        prev = c[m - 1]
+        cur = [0] + prev
+        for i, x in enumerate(prev):
+            cur[i] -= h[m - 1][m - 1] * x
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * h[i][i - 1] % p
+            coef = h[i - 1][m - 1] * t % p
+            if coef:
+                for j, x in enumerate(c[i - 1]):
+                    cur[j] -= coef * x
+        c.append([x % p for x in cur])
+    return c[n]
 
 
 def charpoly(a):
     """Characteristic polynomial det(X*I - A) as an IntPoly.
 
-    Hessenberg reduction then the standard recurrence on leading principal
-    charpolys; the result is asserted integral.
+    With A = K/d, K integral, the coefficients c_j of det(X*I - K) are found
+    modulo primes below 2^61 and joined by CRT until the modulus exceeds
+    2 * prod(1 + B_i), B_i >= the Euclidean norm of row i of K. By Hadamard a
+    principal minor is at most the product of its rows' norms, so
+    sum |c_j| <= prod(1 + B_i) and the symmetric lift is exact. The
+    coefficient of X^j in det(X*I - A) is c_j / d^(n-j), asserted integral.
     """
     n = len(a)
-    if n == 0:
-        return IntPoly([1])
-    h = _hessenberg([[Fraction(x) for x in row] for row in a])
-    # p[m] = charpoly of the top-left m x m block, as Fraction coeff lists
-    p = [[Fraction(1)]]
-    for m in range(1, n + 1):
-        # (X - h[m-1][m-1]) * p[m-1]
-        prev = p[m - 1]
-        cur = [Fraction(0)] + prev
-        for i, c in enumerate(prev):
-            cur[i] -= h[m - 1][m - 1] * c
-        t = Fraction(1)
-        for i in range(m - 1, 0, -1):
-            t *= h[i][i - 1]
-            coef = h[i - 1][m - 1] * t
-            if coef:
-                for kk, c in enumerate(p[i - 1]):
-                    cur[kk] -= coef * c
-        p.append(cur)
+    d = _denominator(x for row in a for x in row)
+    k = [_times(row, d) for row in a]
+    bound = 2 * math.prod(2 + math.isqrt(sum(x * x for x in row)) for row in k)
+    coeffs, modulus, i = [0] * (n + 1), 1, 0
+    while modulus <= bound:
+        p = _modulus(i)
+        inv = pow(modulus, -1, p)
+        coeffs = [
+            c + modulus * ((x - c % p) * inv % p)
+            for c, x in zip(coeffs, _charpoly_mod(k, p))
+        ]
+        modulus *= p
+        i += 1
     out = []
-    for c in p[n]:
-        if c.denominator != 1:
+    for j, c in enumerate(coeffs):
+        c = c - modulus if 2 * c > modulus else c
+        den = d ** (n - j)
+        if c % den:
             raise AssertionError("non-integer characteristic polynomial")
-        out.append(c.numerator)
+        out.append(c // den)
     return IntPoly(out)
 
 

@@ -394,12 +394,15 @@ class ModSymSpace:
 
 class Subspace:
     """Hecke-stable subspace spanned by independent vectors, held as its
-    reduced echelon basis (computed once)."""
+    reduced echelon basis (computed once). The charpoly of T_p and its
+    factorization are memoised per prime."""
 
     def __init__(self, space, basis, tag, check_stability=True):
         self.space = space
         self.echelon = EchelonBasis.of(basis)
         self.tag = tag
+        self._charpolys = {}
+        self._factors = {}
         if check_stability and self.dimension:
             for p in (2, 3, 5, 7):
                 restrict_operator(space.hecke_matrix(p), self.echelon)
@@ -413,7 +416,16 @@ class Subspace:
         return restrict_operator(self.space.hecke_matrix(p), self.echelon)
 
     def hecke_charpoly(self, p):
-        return charpoly(self.hecke_matrix(p))
+        if p not in self._charpolys:
+            self._charpolys[p] = charpoly(self.hecke_matrix(p))
+        return self._charpolys[p]
+
+    def charpoly_factors(self, p):
+        """factor_over_z of the T_p charpoly; a FactorizationCapError is
+        raised again on every call, since nothing is memoised for it."""
+        if p not in self._factors:
+            self._factors[p] = factor_over_z(self.hecke_charpoly(p))
+        return self._factors[p]
 
 
 def hecke_matrix(space_or_subspace, p):
@@ -514,23 +526,20 @@ class NewformClass:
             return self.charpolys[p]
         if self._subspace is None:
             raise KeyError(f"charpoly for p={p} not available on class {self.id}")
-        chi = self._subspace.hecke_charpoly(p)
-        poly = _charpoly_square_root(chi)
+        poly = _charpoly_square_root(self._subspace.charpoly_factors(p))
         self._validate(p, poly)
         self.charpolys[p] = poly
         return poly
 
 
-def _charpoly_square_root(chi):
-    """Square root of a perfect-square monic polynomial, by halving factor
-    multiplicities."""
-    factors = factor_over_z(chi)
+def _charpoly_square_root(factors):
+    """Square root of a perfect-square monic polynomial, from its factors
+    over Z, by halving their multiplicities."""
     out = IntPoly([1])
     for fac, mult in factors:
         if mult % 2:
             raise AssertionError("charpoly on the doubled space is not a square")
         out = out * fac ** (mult // 2)
-    assert out * out == chi
     return out
 
 
@@ -556,10 +565,8 @@ def decompose_into_classes(sub):
             if done or capped:
                 new_pieces.append((piece, done, capped))
                 continue
-            m = piece.hecke_matrix(p)
-            chi = charpoly(m)
             try:
-                factors = factor_over_z(chi)
+                factors = piece.charpoly_factors(p)
             except FactorizationCapError:
                 new_pieces.append((piece, False, True))
                 continue
@@ -568,16 +575,17 @@ def decompose_into_classes(sub):
                 sep = mult == 2 and p <= MAX_WITNESS_PRIME
                 new_pieces.append((piece, sep, False))
                 continue
+            m = piece.hecke_matrix(p)
             for fac, mult in factors:
                 # kernel coordinates are on the piece's echelon rows
                 ker = nullspace(apply_poly(fac**mult, m), piece.dimension)
                 rows = mat_mul(ker, piece.echelon.rows)
                 part = Subspace(space, rows, "class", check_stability=False)
-                sep = (
-                    mult == 2
-                    and fac.degree * 2 == part.dimension
-                    and p <= MAX_WITNESS_PRIME
-                )
+                # the kernel of fac^mult(T_p) is its primary component, on
+                # which the charpoly of T_p is fac^mult
+                assert part.dimension == fac.degree * mult
+                part._factors[p] = [(fac, mult)]
+                sep = mult == 2 and p <= MAX_WITNESS_PRIME
                 new_pieces.append((part, sep, False))
         pieces = new_pieces
     classes = []
@@ -595,8 +603,7 @@ def decompose_into_classes(sub):
         for p in split_primes:
             if p > MAX_WITNESS_PRIME:
                 break
-            chi = piece.hecke_charpoly(p)
-            factors = factor_over_z(chi)
+            factors = piece.charpoly_factors(p)
             if len(factors) == 1 and factors[0][1] == 2:
                 witness = p
                 break

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -98,10 +100,14 @@ def test_congpoly_computes_each_fact_once(runner, monkeypatch, p, q, np_lines):
 
 
 def test_congpoly_entry_point():
+    # the child imports the same congruon as this process
+    src = str(Path(congruon.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "congruon.cli", "congpoly", "12,1", "-60,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "c=72 r=1 s=-1"

@@ -212,3 +212,35 @@ def test_factor_known_products():
 def test_divides():
     assert divides(IntPoly([1, 1]), IntPoly([1, 2, 1]))
     assert not divides(IntPoly([1, 1]), IntPoly([1, 1, 1]))
+
+
+@given(small_coeffs, small_coeffs)
+@settings(max_examples=150)
+def test_divmod_exact_matches_sympy(a, b):
+    p, d = IntPoly(a), IntPoly(b)
+    if d.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            p.divmod_exact(d)
+        return
+    sq, sr = sympy.div(to_sympy(p), to_sympy(d), domain=sympy.QQ)
+    coeffs = [*sq.all_coeffs(), *sr.all_coeffs()]
+    if all(c.q == 1 for c in coeffs):
+        q, r = p.divmod_exact(d)
+        assert to_sympy(q) == sq.set_domain(sympy.ZZ)
+        assert to_sympy(r) == sr.set_domain(sympy.ZZ)
+    else:
+        with pytest.raises(ValueError):
+            p.divmod_exact(d)
+
+
+def test_divmod_exact_examples():
+    def divmod_(a, b):
+        q, r = IntPoly(a).divmod_exact(IntPoly(b))
+        return q.coeffs, r.coeffs
+
+    assert divmod_([-1, 0, 1], [1, 1]) == ((-1, 1), ())
+    assert divmod_([1, 0, 4], [0, 2]) == ((0, 2), (1,))
+    assert divmod_([3, 5], [0, 0, 1]) == ((), (3, 5))
+    assert divmod_([6, 4], [2]) == ((3, 2), ())
+    with pytest.raises(ValueError):
+        IntPoly([0, 0, 3]).divmod_exact(IntPoly([0, 2]))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -152,3 +153,69 @@ def test_mat_mul_matches_sympy(a, b):
     got = mat_mul(a, b)
     want = sympy.Matrix(a) * sympy.Matrix(b)
     assert [[int(x) for x in row] for row in got] == want.tolist()
+
+
+def _sympy_charpoly(a):
+    return list(reversed(sympy.Matrix(a).charpoly().all_coeffs()))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+            st.lists(st.integers(1, 12), min_size=n, max_size=n),
+            st.integers(2, 12),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_charpoly_matches_sympy_with_denominators(data):
+    m, scale, den = data
+    # D M D^-1 has denominators up to 12 and the integral charpoly of M
+    a = [
+        [Fraction(x * scale[i], scale[j]) for j, x in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+    assert list(charpoly(a).coeffs) == _sympy_charpoly(m)
+    # M / den: equal to sympy where integral, refused otherwise
+    b = [[Fraction(x, den) for x in row] for row in m]
+    want = _sympy_charpoly(b)
+    if all(c.q == 1 for c in want):
+        assert list(charpoly(b).coeffs) == [int(c) for c in want]
+    else:
+        with pytest.raises(AssertionError):
+            charpoly(b)
+
+
+def test_charpoly_large_entries_need_several_primes():
+    rng = random.Random(3)
+    for n in (8, 10, 12):
+        a = [[rng.randrange(-(10**6), 10**6 + 1) for _ in range(n)] for _ in range(n)]
+        # the CRT bound 2 * prod(1 + B_i) exceeds the product of two 61-bit primes
+        bound = 2 * math.prod(2 + math.isqrt(sum(x * x for x in row)) for row in a)
+        assert bound > 2**122
+        assert list(charpoly(a).coeffs) == _sympy_charpoly(a)
+
+
+def test_charpoly_block_diagonal_and_small():
+    rng = random.Random(4)
+    for sizes in ((1, 1, 1), (2, 3), (3, 1, 2), (4, 4)):
+        n = sum(sizes)
+        a = [[0] * n for _ in range(n)]
+        start = 0
+        for s in sizes:
+            for i in range(start, start + s):
+                for j in range(start, start + s):
+                    a[i][j] = rng.randrange(-50, 51)
+            start += s
+        assert list(charpoly(a).coeffs) == _sympy_charpoly(a)
+    assert charpoly([[0] * 4 for _ in range(4)]) == IntPoly([0, 0, 0, 0, 1])
+    assert charpoly([]) == IntPoly([1])
+    assert charpoly([[7]]) == IntPoly([-7, 1])
+    assert charpoly([[Fraction(-6, 2)]]) == IntPoly([3, 1])
+    with pytest.raises(AssertionError):
+        charpoly([[Fraction(1, 2)]])

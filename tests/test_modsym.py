@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,20 +25,21 @@ from congruon.modsym import (
 # --- independent genus / dimension oracle (arithmetic formulas only) --------
 
 
-def _oracle_invariants(n):
-    def prime_factors(m):
-        out = {}
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                out[d] = out.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            out[m] = out.get(m, 0) + 1
-        return out
+def _prime_factors(m):
+    out = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
 
-    fac = prime_factors(n)
+
+def _oracle_invariants(n):
+    fac = _prime_factors(n)
     index = n
     for p in fac:
         index = index // p * (p + 1)
@@ -49,7 +51,7 @@ def _oracle_invariants(n):
     )
     def phi(m):
         r = m
-        for p in prime_factors(m):
+        for p in _prime_factors(m):
             r = r // p * (p - 1)
         return r
 
@@ -229,6 +231,38 @@ def test_new_subspace():
     _, genus55, _ = _oracle_invariants(55)
     assert cuspidal_subspace(space55).dimension == 2 * genus55
     assert cuspidal_new_subspace(space55).dimension == 2 * genus55 - 4
+
+
+def _new_dimension(n):
+    """2 * sum over M | N of beta(N/M) g0(M), beta = mu * mu: the dimension of
+    the new modular symbols, two per newform."""
+
+    def beta(m):
+        return math.prod({1: -2, 2: 1}.get(e, 0) for e in _prime_factors(m).values())
+
+    return 2 * sum(
+        beta(n // m) * _oracle_invariants(m)[1] for m in range(1, n + 1) if n % m == 0
+    )
+
+
+def _golden_degrees():
+    """Class degrees per level, read from the FORM lines of the golden files
+    (which the engine reproduces byte for byte, see test_golden)."""
+    out = {}
+    for name in ("charpolys.txt", "charpolys_high.txt"):
+        for line in (Path(__file__).parent / "golden" / name).read_text().splitlines():
+            if line.startswith("FORM "):
+                fields = dict(f.split("=") for f in line.split()[1:])
+                out.setdefault(int(fields["level"]), []).append(int(fields["degree"]))
+    return out
+
+
+def test_new_subspace_dimension_matches_oracle():
+    degrees = _golden_degrees()
+    for n in [*range(11, 121), 155, 233, 301]:
+        dim = _new_dimension(n)
+        assert cuspidal_new_subspace(build_space(n, cap=301)).dimension == dim, n
+        assert 2 * sum(degrees.get(n, [])) == dim, n
 
 
 def test_level_cap():

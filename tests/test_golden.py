@@ -13,11 +13,22 @@ with:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; open(g.GOLDEN_HIGH, 'w').write(g.golden_text(g.HIGH_LEVELS))"
+
+`golden/congpoly.txt` holds the solver's `congpoly P Q --all-ell` output, each
+run under a `$ ` line with its arguments, for the seeded planted pairs of
+`congpoly_runs` (some also with `--pretty`). Regenerate it with:
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+import test_golden as g; open(g.GOLDEN_CONGPOLY, 'w').write(g.congpoly_text())"
 """
 
 import math
+import random
 from pathlib import Path
 
+from click.testing import CliRunner
+
+from congruon.cli import main
 from congruon.hecke_io import export_class
 from congruon.modsym import newform_classes
 from congruon.pipeline import sturm_bound
@@ -26,6 +37,11 @@ GOLDEN = Path(__file__).parent / "golden" / "charpolys.txt"
 LEVELS = [*range(11, 121), 155, 233]
 GOLDEN_HIGH = Path(__file__).parent / "golden" / "charpolys_high.txt"
 HIGH_LEVELS = [301, 389]
+GOLDEN_CONGPOLY = Path(__file__).parent / "golden" / "congpoly.txt"
+CONGPOLY_SEED = 20091
+CLUSTER_PRIMES = (2, 3, 5, 7)
+# Largest cluster scale ell^k per residue prime.
+MAX_SCALE_EXPONENT = {2: 3, 3: 2, 5: 1, 7: 1}
 
 
 def golden_text(levels=LEVELS):
@@ -37,12 +53,96 @@ def golden_text(levels=LEVELS):
     )
 
 
+def _smooth(n):
+    """True iff n != 0 has no prime factor outside CLUSTER_PRIMES."""
+    n = abs(n)
+    for ell in CLUSTER_PRIMES:
+        while n and n % ell == 0:
+            n //= ell
+    return n == 1
+
+
+def _planted_offsets(rng, dp, dq, repeated, span=12):
+    """Root offsets for P and Q in [-span, span], every difference between a
+    root of Q and a root of P a nonzero CLUSTER_PRIMES-smooth number, so the
+    congruence number has no other prime factor. P may repeat a root."""
+    while True:
+        p, q = [], []
+        order = ["p"] * dp + ["q"] * dq
+        rng.shuffle(order)
+        for side in order:
+            mine, other = (p, q) if side == "p" else (q, p)
+            cands = [
+                x
+                for x in range(-span, span + 1)
+                if x not in mine and all(_smooth(x - y) for y in other)
+            ]
+            if side == "p" and repeated:
+                cands += p * 4
+            if not cands:
+                break
+            mine.append(rng.choice(cands))
+        else:
+            return p, q
+
+
+def _coeff_arg(roots):
+    coeffs = [1]
+    for r in roots:
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return ",".join(map(str, coeffs))
+
+
+def congpoly_runs(seed=CONGPOLY_SEED):
+    """`congpoly` argument lists: for every (deg P, deg Q) in 1..8 x 1..8,
+    min(deg P, deg Q) monic split pairs whose roots cluster around one base
+    point at the scale ell^k for an ell in CLUSTER_PRIMES; about 15% repeat
+    a root of P (the factored route). The first pair of each equal-degree
+    block from degree 3 on is run again with --pretty."""
+    rng = random.Random(seed)
+    runs = []
+    for dp in range(1, 9):
+        for dq in range(1, 9):
+            for i in range(min(dp, dq)):
+                ell = rng.choice(CLUSTER_PRIMES)
+                scale = ell ** rng.randint(0, MAX_SCALE_EXPONENT[ell])
+                base = rng.randint(-30, 30)
+                repeated = dp > 1 and rng.random() < 0.15
+                p, q = _planted_offsets(rng, dp, dq, repeated)
+                args = [
+                    "congpoly",
+                    _coeff_arg([base + scale * x for x in p]),
+                    _coeff_arg([base + scale * x for x in q]),
+                    "--all-ell",
+                ]
+                runs.append(args)
+                if i == 0 and dp == dq >= 3:
+                    runs.append(args + ["--pretty"])
+    return runs
+
+
+def congpoly_text(runs=None):
+    runner = CliRunner()
+    out = []
+    for args in runs or congpoly_runs():
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        out.append("$ " + " ".join(args) + "\n" + result.output)
+    return "".join(out)
+
+
 def test_engine_reproduces_golden_charpolys():
     assert golden_text() == GOLDEN.read_text()
 
 
 def test_engine_reproduces_golden_charpolys_high_levels():
     assert golden_text(HIGH_LEVELS) == GOLDEN_HIGH.read_text()
+
+
+def test_solver_reproduces_golden_congpoly():
+    assert congpoly_text() == GOLDEN_CONGPOLY.read_text()
 
 
 def _neg_prem(a, b):

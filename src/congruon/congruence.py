@@ -1,23 +1,25 @@
 """Maximal prime-power congruences between roots of coprime integer polynomials.
 
-Two routes: the congruence-number method (fast, exact in the favourable
-cases of the reduction criteria) and the Newton-polygon method on the
-root-difference polynomial (always exact, slower).
+Two routes: the congruence-number method (exact in the favourable cases of
+the reduction criteria) and the Newton-polygon method on the root-difference
+polynomial F(Y) (always exact). F is a composed sum built from power sums in
+int, so the second route costs O((deg P * deg Q)^2) integer operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .arith import is_prime, valuation
 from .intpoly import (
     IntPoly,
+    _pm_gcd,
+    _pm_trim,
     factor_over_z,
     gcd_over_q,
     hnf_with_transform,
-    resultant,
     sylvester_matrix,
 )
 from .padic import exponent_from_slope, newton_polygon
@@ -168,8 +170,6 @@ def _reduce_mod(poly, ell):
 
 def _gcd_mod(a, b, ell):
     """Monic gcd of the reductions modulo ell (coefficient lists)."""
-    from .intpoly import _pm_gcd, _pm_trim
-
     return _pm_gcd(_pm_trim(list(a)), _pm_trim(list(b)), ell)
 
 
@@ -225,50 +225,51 @@ def bounds_via_congruence_number(p, q, ell):
 
 
 def difference_root_poly(p, q):
-    """F(Y) = Res_X(P(X), Q(X+Y)): its roots are the root differences.
+    """F(Y) = Res_X(P(X), Q(X+Y)) for monic P, Q: the monic polynomial whose
+    roots are the differences beta - alpha of the roots of P and of Q.
 
-    Computed by evaluation at consecutive integers and exact interpolation;
-    a non-integer interpolated coefficient would signal a bug and is rejected.
+    F is a composed sum (Bostan, Flajolet, Salvy and Schost, "Fast computation
+    of special resultants", J. Symbolic Comput. 41, 2006), computed in int:
+    the power sums of beta - alpha are S_k = sum_j C(k, j) s_j(Q) s_(k-j)(-P),
+    with s_j(-P) = (-1)^j s_j(P) and s_0 the degree. Non-monic input raises
+    PreconditionError, since this holds only for monic P and Q.
     """
     if p.degree < 1 or q.degree < 1:
         raise ValueError("difference_root_poly needs degrees >= 1")
+    if not (p.is_monic and q.is_monic):
+        raise PreconditionError("inputs must be monic")
     deg = p.degree * q.degree
-    xs = []
-    k = 0
-    while len(xs) < deg + 1:
-        xs.append(k)
-        if k > 0 and len(xs) < deg + 1:
-            xs.append(-k)
-        k += 1
-    ys = [resultant(p, q.compose_add(y)) for y in xs]
-    coeffs = _interpolate(xs, ys)
-    f = IntPoly(coeffs)
-    assert f.degree == deg
-    return f
+    neg_alpha = [(-1) ** k * s for k, s in enumerate(_power_sums(p, deg))]
+    beta = _power_sums(q, deg)
+    sums = [
+        sum(comb(k, j) * beta[j] * neg_alpha[k - j] for j in range(k + 1))
+        for k in range(deg + 1)
+    ]
+    return _from_power_sums(sums)
 
 
-def _interpolate(xs, ys):
-    """Exact Newton interpolation; returns integer coefficients."""
-    n = len(xs)
-    divided = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (x - xs[0]) ... as coefficients
-    for j in range(n):
-        for i, a in enumerate(acc):
-            coeffs[i] += divided[j] * a
-        if j < n - 1:
-            acc = [Fraction(0)] + acc
-            for i in range(len(acc) - 1):
-                acc[i] -= xs[j] * acc[i + 1]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("interpolation produced a non-integer coefficient")
-        out.append(c.numerator)
-    return out
+def _power_sums(poly, n):
+    """[s_0, ..., s_n] of the roots of monic poly by Newton's identities
+    s_k = -(k c_k + sum_(0<i<k) c_i s_(k-i)), c_i the coefficient of X^(d-i)."""
+    d = poly.degree
+    c = poly.coeffs[::-1] + (0,) * n
+    sums = [d]
+    for k in range(1, n + 1):
+        acc = sum(c[i] * sums[k - i] for i in range(1, min(k, d + 1)))
+        sums.append(-k * c[k] - acc)
+    return sums
+
+
+def _from_power_sums(sums):
+    """The monic polynomial whose roots have the power sums [s_0, ..., s_n],
+    by the same identities solved for c_k; a non-integer c_k is rejected."""
+    c = [1]
+    for k in range(1, len(sums)):
+        ck, rem = divmod(-sums[k] - sum(c[i] * sums[k - i] for i in range(1, k)), k)
+        if rem:
+            raise AssertionError("Newton's identities gave a non-integer coefficient")
+        c.append(ck)
+    return IntPoly(c[::-1])
 
 
 def exact_exponent_newton(p, q, ell):

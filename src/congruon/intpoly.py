@@ -135,14 +135,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def compose_add(self, t):
-        """P(X + t) for an integer t."""
-        acc = IntPoly()
-        lin = IntPoly([t, 1])
-        for c in reversed(self.coeffs):
-            acc = acc * lin + IntPoly([c])
-        return acc
-
     def derivative(self):
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -7,8 +9,10 @@ from sympy.abc import x as sx, y as sy
 
 from congruon.arith import valuation
 from congruon.congruence import (
+    CongruenceNumberResult,
     NotCoprimeError,
     PreconditionError,
+    _from_power_sums,
     bounds_via_congruence_number,
     common_root_mod_ell,
     congruence_number,
@@ -16,7 +20,9 @@ from congruon.congruence import (
     exact_exponent_newton,
     solve_problem_2_4,
 )
-from congruon.intpoly import IntPoly, resultant
+from congruon.intpoly import IntPoly, gcd_over_q, resultant
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "congruon"
 
 
 def test_congruence_number_linear_pair():
@@ -102,6 +108,106 @@ def test_difference_root_poly_roots():
     for d in [2, 9, -1, 6]:  # all differences b - a
         assert f(d) == 0
     assert f.degree == 4
+
+
+def _sympy_difference_poly(p, q):
+    """Res_X(P(X), Q(X+Y)) by sympy, as ascending int coefficients.
+
+    sympy's resultant(f, g) is (-1)^(deg f * deg g) times the standard one
+    when deg f < deg g (resultant(x - 5, x**3 + 1) gives -126, not 126), so
+    the larger degree goes first and Res(f, g) = (-1)^(mn) Res(g, f) fixes
+    the sign."""
+    sp = sympy.Poly(list(reversed(p.coeffs)), sx)
+    sq_shift = sympy.Poly(
+        sympy.Poly(list(reversed(q.coeffs)), sx).as_expr().subs(sx, sx + sy), sx
+    )
+    if p.degree >= q.degree:
+        res = sympy.resultant(sp, sq_shift, sx)
+    else:
+        res = (-1) ** (p.degree * q.degree) * sympy.resultant(sq_shift, sp, sx)
+    want = sympy.Poly(res, sy)
+    return [int(c) for c in reversed(want.all_coeffs())]
+
+
+def test_difference_root_poly_matches_sympy_up_to_6x6():
+    """Random monic pairs of every degree pair up to 6 x 6, some with a
+    repeated root, some sharing a root (then F(0) = 0 is returned) and, from
+    degree 3, some with a quadratic factor X^2 + c of P."""
+    rng = random.Random(2006)
+    repeated = shared = 0
+    for dp in range(1, 7):
+        for dq in range(1, 7):
+            p_roots = [rng.randrange(-9, 10) for _ in range(dp)]
+            q_roots = [rng.randrange(-9, 10) for _ in range(dq)]
+            if dp > 1 and rng.random() < 0.3:
+                p_roots[1] = p_roots[0]
+            if rng.random() < 0.2:
+                q_roots[0] = p_roots[0]
+            p = IntPoly.from_roots(p_roots)
+            if dp > 2 and rng.random() < 0.5:
+                quadratic = IntPoly([rng.randrange(-5, 6), 0, 1])
+                p = IntPoly.from_roots(p_roots[:-2]) * quadratic
+            q = IntPoly.from_roots(q_roots)
+            f = difference_root_poly(p, q)
+            assert list(f.coeffs) == _sympy_difference_poly(p, q), (p, q)
+            assert f.degree == p.degree * q.degree and f.is_monic
+            if p(q_roots[0]) == 0:
+                assert f(0) == 0
+                shared += 1
+            repeated += gcd_over_q(p, p.derivative()).degree > 0
+    assert repeated and shared
+
+
+def test_difference_root_poly_shared_root_returns_zero_constant():
+    p = IntPoly.from_roots([2, 2, -3])
+    q = IntPoly.from_roots([5, -3])
+    f = difference_root_poly(p, q)
+    assert f(0) == 0 and list(f.coeffs) == _sympy_difference_poly(p, q)
+    record = CongruenceNumberResult(0, IntPoly(), IntPoly(), p, q)
+    with pytest.raises(AssertionError, match="F\\(0\\) != 0"):
+        record._difference_poly
+
+
+def test_difference_root_poly_matches_planted_differences_12x12():
+    rng = random.Random(144)
+    p_roots = [rng.randrange(-60, 61) for _ in range(12)]
+    q_roots = [rng.randrange(-60, 61) for _ in range(12)]
+    f = difference_root_poly(IntPoly.from_roots(p_roots), IntPoly.from_roots(q_roots))
+    assert f == IntPoly.from_roots([b - a for a in p_roots for b in q_roots])
+
+
+def test_difference_root_poly_preconditions():
+    monic = IntPoly([3, 1])
+    for bad in (IntPoly([21, 6]), IntPoly([1, 0, -1])):
+        with pytest.raises(PreconditionError, match="monic"):
+            difference_root_poly(bad, monic)
+        with pytest.raises(PreconditionError, match="monic"):
+            difference_root_poly(monic, bad)
+    for const in (IntPoly([1]), IntPoly([5]), IntPoly()):
+        with pytest.raises(ValueError, match="degrees >= 1"):
+            difference_root_poly(const, monic)
+        with pytest.raises(ValueError, match="degrees >= 1"):
+            difference_root_poly(monic, const)
+
+
+def test_from_power_sums_checks_each_division():
+    # X^2 - X + 1/2 has power sums 2, 1, 0: c_2 = 1/2 is not an integer
+    with pytest.raises(AssertionError, match="non-integer"):
+        _from_power_sums([2, 1, 0])
+    assert _from_power_sums([2, 1, 5]) == IntPoly([-2, -1, 1])  # roots 2, -1
+
+
+@pytest.mark.parametrize("module", ["congruence.py", "intpoly.py"])
+def test_solver_modules_do_not_import_fractions(module):
+    """The solver stays in int: neither module imports `fractions`."""
+    tree = ast.parse((SRC / module).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "fractions" not in imported
 
 
 def _oracle_exponent(p_roots, q_roots, ell):

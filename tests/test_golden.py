@@ -30,6 +30,7 @@ from click.testing import CliRunner
 
 from congruon.cli import main
 from congruon.hecke_io import export_class
+from congruon.intpoly import IntPoly
 from congruon.modsym import newform_classes
 from congruon.pipeline import sturm_bound
 
@@ -87,12 +88,7 @@ def _planted_offsets(rng, dp, dq, repeated, span=12):
 
 
 def _coeff_arg(roots):
-    coeffs = [1]
-    for r in roots:
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= r * coeffs[i + 1]
-    return ",".join(map(str, coeffs))
+    return ",".join(map(str, IntPoly.from_roots(roots).coeffs))
 
 
 def congpoly_runs(seed=CONGPOLY_SEED):

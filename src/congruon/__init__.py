@@ -1,5 +1,6 @@
 """Exact prime-power congruences of polynomial roots and Hecke eigenforms."""
 
+from .arith import CongruonError
 from .congruence import (
     CongruenceBounds,
     CongruenceNumberResult,
@@ -17,6 +18,7 @@ from .padic import PrimePower, gamma, newton_polygon, val
 __all__ = [
     "CongruenceBounds",
     "CongruenceNumberResult",
+    "CongruonError",
     "FactorizationCapError",
     "IntPoly",
     "NotCoprimeError",

@@ -1,4 +1,5 @@
-"""Shared exact integer arithmetic helpers (gcd, primality, factoring)."""
+"""Shared exact integer arithmetic helpers (gcd, primality, factoring) and the
+root of congruon's errors."""
 
 from __future__ import annotations
 
@@ -10,6 +11,13 @@ _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Fixed witness set for n >= 2^64 (probable-prime only).
 _MR_WITNESSES_BIG = tuple(range(2, 2 + 40))
+
+
+class CongruonError(Exception):
+    """Root of every refusal; exit_code is the CLI's exit status for it
+    (2, a usage error, unless a subclass says otherwise)."""
+
+    exit_code = 2
 
 
 def xgcd(a, b):

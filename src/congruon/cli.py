@@ -1,24 +1,22 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 non-coprime input, 4 cap exceeded
-(level, factorization or class-splitting prime cap), 5 precondition violated.
+Every refusal is a `CongruonError`, caught once in `main`: it prints
+`error: <message>` to stderr and exits with the error's `exit_code` (2 parse
+or usage error, 3 non-coprime input, 4 cap exceeded (level, factorization or
+class-splitting prime cap), 5 precondition violated).
 """
 
 from __future__ import annotations
 
+import re
+
 import click
 
-from .arith import factorize, is_prime
-from .congruence import NotCoprimeError, PreconditionError, congruence_number
-from .hecke_io import (
-    FormatError,
-    ResultsStore,
-    export_class,
-    parse_dataset,
-    result_lines,
-)
-from .intpoly import FactorizationCapError, IntPoly
-from .modsym import DEFAULT_LEVEL_CAP, ClassSeparationError, LevelCapError, newform_classes
+from .arith import CongruonError, factorize, is_prime
+from .congruence import congruence_number
+from .hecke_io import ResultsStore, export_class, parse_dataset, result_lines
+from .intpoly import IntPoly
+from .modsym import DEFAULT_LEVEL_CAP, newform_classes
 from .pipeline import (
     ComparisonOptions,
     compare_newforms,
@@ -26,21 +24,11 @@ from .pipeline import (
     level_raising_check,
 )
 
-EXIT_PARSE = 2
-EXIT_NOT_COPRIME = 3
-EXIT_CAP = 4
-EXIT_PRECONDITION = 5
-
 
 def _parse_poly(spec):
-    try:
-        coeffs = [int(c) for c in spec.split(",")]
-    except ValueError:
-        raise click.exceptions.Exit(EXIT_PARSE) from None
-    poly = IntPoly(coeffs)
+    poly = IntPoly(int(c) for c in spec.split(","))
     if poly.is_zero:
-        click.echo("error: zero polynomial", err=True)
-        raise click.exceptions.Exit(EXIT_PARSE)
+        raise CongruonError("zero polynomial")
     return poly
 
 
@@ -55,22 +43,28 @@ def _poly_out(poly, pretty):
 def _load_form(spec):
     """Load a form from 'path#id'."""
     if "#" not in spec:
-        click.echo(f"error: form spec {spec!r} must be path#id", err=True)
-        raise click.exceptions.Exit(EXIT_PARSE)
+        raise CongruonError(f"form spec {spec!r} must be path#id")
     path, form_id = spec.rsplit("#", 1)
     try:
         with open(path) as fh:
             dataset = parse_dataset(fh.read())
         return dataset.form(form_id)
-    except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_PARSE) from None
-    except (FormatError, KeyError) as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_PARSE) from None
+    except (OSError, KeyError) as e:
+        raise CongruonError(str(e)) from None
 
 
-@click.group()
+class _Main(click.Group):
+    """Catches every CongruonError of a subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CongruonError as e:
+            click.echo(f"error: {e}", err=True)
+            raise click.exceptions.Exit(e.exit_code) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Exact prime-power congruences of polynomial roots and eigenforms."""
 
@@ -89,47 +83,27 @@ def congpoly(specs, ell, all_ell, pretty):
     Both polynomials must be monic. Coefficients are comma-separated,
     ascending (constant first); a leading minus on the constant term is fine.
     """
-    import re
-
-    polys = []
     for spec in specs:
-        if re.match(_COEFFS, spec):
-            polys.append(spec)
-        else:
-            click.echo(f"error: unknown argument {spec!r}", err=True)
-            raise click.exceptions.Exit(EXIT_PARSE)
-    if len(polys) != 2:
-        click.echo("error: expected exactly two coefficient lists", err=True)
-        raise click.exceptions.Exit(EXIT_PARSE)
-    p = _parse_poly(polys[0])
-    q = _parse_poly(polys[1])
+        if not re.match(_COEFFS, spec):
+            raise CongruonError(f"unknown argument {spec!r}")
+    if len(specs) != 2:
+        raise CongruonError("expected exactly two coefficient lists")
+    p = _parse_poly(specs[0])
+    q = _parse_poly(specs[1])
     if ell is not None and not is_prime(ell):
-        click.echo(f"error: --ell {ell} is not prime", err=True)
-        raise click.exceptions.Exit(EXIT_PARSE)
-    try:
-        res = congruence_number(p, q)
-        click.echo(
-            f"c={res.c} r={_poly_out(res.r, pretty)} s={_poly_out(res.s, pretty)}"
-        )
-        ells = sorted(factorize(res.c)) if all_ell else ([ell] if ell else [])
-        for l in ells:
-            bounds = res.bounds(l)
-            n, method = res.exponent(l)
-            exact = "exact" if bounds.exact else f"bounds=[{bounds.lower},{bounds.upper}]"
-            click.echo(f"ell={l} n={n} {exact} method={method} case={bounds.case_tag}")
-    except NotCoprimeError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_NOT_COPRIME) from None
-    except FactorizationCapError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_CAP) from None
-    except PreconditionError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_PRECONDITION) from None
+        raise CongruonError(f"--ell {ell} is not prime")
+    res = congruence_number(p, q)
+    click.echo(f"c={res.c} r={_poly_out(res.r, pretty)} s={_poly_out(res.s, pretty)}")
+    ells = sorted(factorize(res.c)) if all_ell else ([ell] if ell else [])
+    for l in ells:
+        bounds = res.bounds(l)
+        n, method = res.exponent(l)
+        exact = "exact" if bounds.exact else f"bounds=[{bounds.lower},{bounds.upper}]"
+        click.echo(f"ell={l} n={n} {exact} method={method} case={bounds.case_tag}")
 
 
 @main.command()
-@click.option("--level", type=int, required=True)
+@click.option("--level", type=click.IntRange(min=1), required=True)
 @click.option("--p", "prime", type=int, multiple=True, help="Primes to tabulate.")
 @click.option("--class", "class_id", default=None, help="Restrict to one class id.")
 @click.option("--cap", type=int, default=DEFAULT_LEVEL_CAP, show_default=True)
@@ -137,16 +111,10 @@ def charpoly(level, prime, class_id, cap):
     """Emit FORM/CP dataset lines for the weight-2 classes at a level."""
     for p in prime:
         if not is_prime(p):
-            click.echo(f"error: {p} is not prime", err=True)
-            raise click.exceptions.Exit(EXIT_PARSE)
-    try:
-        for cls in newform_classes(level, cap=cap):
-            if class_id is not None and cls.id != class_id:
-                continue
-            click.echo(export_class(cls, prime or []).rstrip("\n"))
-    except (LevelCapError, FactorizationCapError, ClassSeparationError) as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_CAP) from None
+            raise CongruonError(f"{p} is not prime")
+    for cls in newform_classes(level, cap=cap):
+        if class_id is None or cls.id == class_id:
+            click.echo(export_class(cls, prime).rstrip("\n"))
 
 
 @main.command()
@@ -167,17 +135,7 @@ def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutof
         assert_irreducible=assert_irred,
         prime_cutoff_override=cutoff,
     )
-    try:
-        record = compare_newforms(f, g, opts)
-    except (PreconditionError, KeyError) as e:
-        msg = str(e)
-        click.echo(f"error: {msg}", err=True)
-        if "not coprime" in msg:
-            raise click.exceptions.Exit(EXIT_NOT_COPRIME) from None
-        raise click.exceptions.Exit(EXIT_PRECONDITION) from None
-    except NotCoprimeError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_NOT_COPRIME) from None
+    record = compare_newforms(f, g, opts)
     for line in result_lines(record):
         click.echo(line)
     if store:
@@ -185,27 +143,19 @@ def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutof
 
 
 @main.command()
-@click.option("--level", type=int, required=True)
+@click.option("--level", type=click.IntRange(min=1), required=True)
 @click.option("--cutoff", type=int, default=None, help="Prime cutoff override.")
 @click.option("--cap", type=int, default=DEFAULT_LEVEL_CAP, show_default=True)
 def eisenstein(level, cutoff, cap):
     """Scan a prime level for congruences with the Eisenstein series."""
-    try:
-        for cls in newform_classes(level, cap=cap):
-            entries = eisenstein_scan(cls, prime_cutoff_override=cutoff)
-            if not entries:
-                click.echo(f"EIS id={cls.id} none")
-            for e in entries:
-                click.echo(
-                    f"EIS id={cls.id} ell={e.ell} n={e.exponent} "
-                    f"mazur={e.mazur_valuation}"
-                )
-    except (LevelCapError, FactorizationCapError, ClassSeparationError) as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_CAP) from None
-    except PreconditionError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_PRECONDITION) from None
+    for cls in newform_classes(level, cap=cap):
+        entries = eisenstein_scan(cls, prime_cutoff_override=cutoff)
+        if not entries:
+            click.echo(f"EIS id={cls.id} none")
+        for e in entries:
+            click.echo(
+                f"EIS id={cls.id} ell={e.ell} n={e.exponent} mazur={e.mazur_valuation}"
+            )
 
 
 @main.command()
@@ -216,16 +166,8 @@ def levelraise(f_spec, prime, ell):
     """Level-raising congruence check at a prime p away from the level."""
     f = _load_form(f_spec)
     if not is_prime(prime) or not is_prime(ell):
-        click.echo("error: p and ell must be prime", err=True)
-        raise click.exceptions.Exit(EXIT_PARSE)
-    try:
-        r = level_raising_check(f, prime, ell)
-    except PreconditionError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_PRECONDITION) from None
-    except KeyError as e:
-        click.echo(f"error: {e}", err=True)
-        raise click.exceptions.Exit(EXIT_PRECONDITION) from None
+        raise CongruonError("p and ell must be prime")
+    r = level_raising_check(f, prime, ell)
     click.echo(f"e-={r.e_minus} (c={r.c_minus}), e+={r.e_plus} (c={r.c_plus})")
 
 

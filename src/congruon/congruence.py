@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .arith import is_prime, valuation
+from .arith import CongruonError, is_prime, valuation
 from .intpoly import (
     IntPoly,
     _pm_gcd,
@@ -25,13 +25,17 @@ from .intpoly import (
 from .padic import exponent_from_slope, newton_polygon
 
 
-class NotCoprimeError(ValueError):
-    """Inputs share a factor over the rationals; factor first."""
-
-
-class PreconditionError(ValueError):
+class PreconditionError(CongruonError, ValueError):
     """An input precondition (monic polynomials; comparison weights, levels,
     data) is not met."""
+
+    exit_code = 5
+
+
+class NotCoprimeError(PreconditionError):
+    """Inputs share a factor over the rationals; factor first."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import CongruonError, is_prime
 from .intpoly import IntPoly
 from .modsym import NewformClass
 
 _TOKEN = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-class FormatError(ValueError):
+class FormatError(CongruonError, ValueError):
     """Malformed dataset or results text."""
 
 

@@ -11,19 +11,28 @@ import os
 import random
 from itertools import combinations
 
-from .arith import inverse_mod, is_prime
+from .arith import CongruonError, inverse_mod, is_prime
 
 DEFAULT_FACTOR_CAP = 64
 
 
-class FactorizationCapError(Exception):
+class FactorizationCapError(CongruonError):
     """Squarefree factor degree exceeds the configured factorization cap."""
+
+    exit_code = 4
 
 
 def factor_cap():
     """Active factorization degree cap (CONGRUON_FACTOR_CAP overrides)."""
     env = os.environ.get("CONGRUON_FACTOR_CAP")
-    return int(env) if env else DEFAULT_FACTOR_CAP
+    if not env:
+        return DEFAULT_FACTOR_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise CongruonError(
+            f"CONGRUON_FACTOR_CAP must be an integer, got {env!r}"
+        ) from None
 
 
 class IntPoly:

@@ -16,8 +16,9 @@ import math
 from array import array
 from fractions import Fraction
 
-from .arith import divisors, euler_phi, factorize, index_gamma0, is_prime
-from .arith import prime_divisors, primes_upto, xgcd
+from .arith import CongruonError, divisors, euler_phi, factorize, index_gamma0
+from .arith import is_prime, prime_divisors, primes_upto, xgcd
+from .congruence import PreconditionError
 from .intpoly import FactorizationCapError, IntPoly, factor_over_z
 from .linalg import (
     EchelonBasis,
@@ -39,12 +40,20 @@ MAX_SPLIT_PRIME = 50
 MAX_WITNESS_PRIME = 13
 
 
-class LevelCapError(ValueError):
+class LevelCapError(CongruonError, ValueError):
     """Requested level exceeds the engine cap."""
 
+    exit_code = 4
 
-class ClassSeparationError(RuntimeError):
+
+class ClassSeparationError(CongruonError, RuntimeError):
     """No splitting prime up to the cap separated the conjugacy classes."""
+
+    exit_code = 4
+
+
+class CharpolyMissingError(PreconditionError, KeyError):
+    """A class read from a dataset has no charpoly at the requested prime."""
 
 
 def _lift_unit(n, d, a):
@@ -428,13 +437,6 @@ class Subspace:
         return self._factors[p]
 
 
-def hecke_matrix(space_or_subspace, p):
-    """Matrix of T_p on a full space or a Hecke-stable subspace."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return space_or_subspace.hecke_matrix(p)
-
-
 def cuspidal_subspace(space):
     """Kernel of the boundary map."""
     _, boundary = space.boundary_data()
@@ -525,7 +527,9 @@ class NewformClass:
         if p in self.charpolys:
             return self.charpolys[p]
         if self._subspace is None:
-            raise KeyError(f"charpoly for p={p} not available on class {self.id}")
+            raise CharpolyMissingError(
+                f"charpoly for p={p} not available on class {self.id}"
+            )
         poly = _charpoly_square_root(self._subspace.charpoly_factors(p))
         self._validate(p, poly)
         self.charpolys[p] = poly

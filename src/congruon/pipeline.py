@@ -149,7 +149,7 @@ def compare_newforms(f, g, opts=None):
     if f.weight != g.weight:
         raise PreconditionError("weights differ")
     if f.id is not None and f.id == g.id:
-        raise PreconditionError("not coprime: comparing a class with itself")
+        raise NotCoprimeError("not coprime: comparing a class with itself")
     k = f.weight
     level = math.lcm(f.level, g.level)
     sb = sturm_bound(level, k)
@@ -180,9 +180,7 @@ def compare_newforms(f, g, opts=None):
     shared = [p for p in good if records[p] is None]
     good = [p for p in good if records[p] is not None]
     if not good:
-        raise PreconditionError(
-            "not coprime: the charpolys agree at every usable prime"
-        )
+        raise NotCoprimeError("not coprime: the charpolys agree at every usable prime")
     l_plus = modified_gcd_combine([(p, records[p].c) for p in good])
     for p in p_of_m:
         records[p] = _record(f.class_charpoly(p), g.class_charpoly(p))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 import congruon.congruence
 import congruon.modsym
+from congruon import CongruonError
 from congruon.cli import main
 from congruon.hecke_io import export_class
 from congruon.modsym import newform_classes
@@ -19,7 +21,48 @@ def runner():
 
 
 def _run(runner, args, **kw):
-    return runner.invoke(main, args, **kw)
+    """Invoke the CLI; every non-zero exit must be a refusal: exactly one
+    `error: ` line on stderr (click's own usage errors print `Error: `) and
+    no traceback."""
+    r = runner.invoke(main, args, **kw)
+    if r.exit_code:
+        errors = [l for l in r.stderr.splitlines() if l.lower().startswith("error: ")]
+        assert len(errors) == 1, r.output
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert "Traceback" not in r.output
+    return r
+
+
+# --- the error contract -------------------------------------------------------
+
+
+def _documented_exit_codes():
+    """{error class name: exit code} from the exit-code table in README.md."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    codes = {}
+    for row in table.splitlines():
+        cells = row.split("|")
+        if len(cells) > 2 and cells[1].strip().isdigit():
+            for name in re.findall(r"`(\w+Error)`", cells[2]):
+                codes[name] = int(cells[1])
+    return codes
+
+
+def _error_classes(root=CongruonError):
+    classes = [root]
+    for sub in root.__subclasses__():
+        classes += [c for c in _error_classes(sub) if c not in classes]
+    return classes
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_exit_code_matches_readme_table(cls):
+    assert cls.exit_code == _documented_exit_codes()[cls.__name__]
+
+
+def test_readme_table_names_only_error_classes():
+    assert set(_documented_exit_codes()) == {c.__name__ for c in _error_classes()}
 
 
 # --- congpoly ----------------------------------------------------------------
@@ -160,6 +203,20 @@ def test_charpoly_bad_prime(runner):
     assert _run(runner, ["charpoly", "--level", "11", "--p", "4"]).exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["charpoly", "eisenstein"])
+@pytest.mark.parametrize("level", ["0", "-5"])
+def test_level_below_one_is_a_usage_error(runner, command, level):
+    r = _run(runner, [command, "--level", level])
+    assert r.exit_code == 2
+    assert "--level" in r.stderr
+
+
+def test_factor_cap_not_an_integer(runner):
+    r = _run(runner, ["charpoly", "--level", "11"], env={"CONGRUON_FACTOR_CAP": "abc"})
+    assert r.exit_code == 2
+    assert "error: CONGRUON_FACTOR_CAP must be an integer" in r.stderr
+
+
 # --- congforms ---------------------------------------------------------------
 
 
@@ -226,6 +283,25 @@ def test_congforms_weight_precondition(runner, tmp_path, dataset71):
     assert r.exit_code == 5
 
 
+def test_congforms_factorization_cap_exit_code(runner, tmp_path):
+    # (X - 1)^2 against X^2 - 17 at p = 2, 3: factoring the square needs degree 2
+    path = tmp_path / "r.txt"
+    path.write_text(
+        "".join(
+            f"FORM id={i} level=11 weight=2 degree=2\n"
+            f"CP id={i} p=2 coeffs={cp}\nCP id={i} p=3 coeffs={cp}\n"
+            for i, cp in (("f", "1,-2,1"), ("g", "-17,0,1"))
+        )
+    )
+    r = _run(
+        runner,
+        ["congforms", "--f", f"{path}#f", "--g", f"{path}#g", "--cutoff", "3"],
+        env={"CONGRUON_FACTOR_CAP": "1"},
+    )
+    assert r.exit_code == 4
+    assert "factorization cap exceeded" in r.stderr
+
+
 def test_compact_command(runner, dataset71, tmp_path):
     store = tmp_path / "store.txt"
     args = [
@@ -267,6 +343,15 @@ def test_levelraise_17(runner, tmp_path):
         runner, ["levelraise", "--f", f"{path}#17.2.a", "--p", "4", "--ell", "3"]
     )
     assert r2.exit_code == 2
+
+
+def test_levelraise_not_coprime(runner, tmp_path):
+    # P_{f,2} = X - 3 = X - (p + 1) shares its root with the level-raising factor
+    path = tmp_path / "f.txt"
+    path.write_text("FORM id=f level=11 weight=2 degree=1\nCP id=f p=2 coeffs=-3,1\n")
+    r = _run(runner, ["levelraise", "--f", f"{path}#f", "--p", "2", "--ell", "3"])
+    assert r.exit_code == 3
+    assert "error: not coprime" in r.stderr
 
 
 def test_help_for_every_subcommand(runner):

@@ -87,29 +87,6 @@ def test_common_root_mod_ell():
     assert not common_root_mod_ell(p, q, 5)
 
 
-def test_difference_root_poly_matches_sympy():
-    rng = random.Random(11)
-    for _ in range(10):
-        p = IntPoly([rng.randrange(-9, 9) for _ in range(rng.randrange(1, 4))] + [1])
-        q = IntPoly([rng.randrange(-9, 9) for _ in range(rng.randrange(1, 4))] + [1])
-        sp = sympy.Poly(list(reversed(p.coeffs)), sx)
-        sq_shift = sympy.Poly(
-            sympy.Poly(list(reversed(q.coeffs)), sx).as_expr().subs(sx, sx + sy), sx
-        )
-        want = sympy.Poly(sympy.resultant(sp, sq_shift, sx), sy)
-        got = difference_root_poly(p, q)
-        assert list(reversed(got.coeffs)) == [int(c) for c in want.all_coeffs()]
-
-
-def test_difference_root_poly_roots():
-    p = IntPoly.from_roots([1, 4])
-    q = IntPoly.from_roots([3, 10])
-    f = difference_root_poly(p, q)
-    for d in [2, 9, -1, 6]:  # all differences b - a
-        assert f(d) == 0
-    assert f.degree == 4
-
-
 def _sympy_difference_poly(p, q):
     """Res_X(P(X), Q(X+Y)) by sympy, as ascending int coefficients.
 
@@ -127,6 +104,23 @@ def _sympy_difference_poly(p, q):
         res = (-1) ** (p.degree * q.degree) * sympy.resultant(sq_shift, sp, sx)
     want = sympy.Poly(res, sy)
     return [int(c) for c in reversed(want.all_coeffs())]
+
+
+def test_difference_root_poly_matches_sympy():
+    rng = random.Random(11)
+    for _ in range(10):
+        p = IntPoly([rng.randrange(-9, 9) for _ in range(rng.randrange(1, 4))] + [1])
+        q = IntPoly([rng.randrange(-9, 9) for _ in range(rng.randrange(1, 4))] + [1])
+        assert list(difference_root_poly(p, q).coeffs) == _sympy_difference_poly(p, q)
+
+
+def test_difference_root_poly_roots():
+    p = IntPoly.from_roots([1, 4])
+    q = IntPoly.from_roots([3, 10])
+    f = difference_root_poly(p, q)
+    for d in [2, 9, -1, 6]:  # all differences b - a
+        assert f(d) == 0
+    assert f.degree == 4
 
 
 def test_difference_root_poly_matches_sympy_up_to_6x6():

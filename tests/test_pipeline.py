@@ -11,6 +11,7 @@ from congruon.intpoly import IntPoly
 from congruon.modsym import NewformClass, newform_classes
 from congruon.pipeline import (
     ComparisonOptions,
+    NotCoprimeError,
     PreconditionError,
     compare_newforms,
     eisenstein_scan,
@@ -170,6 +171,24 @@ def test_missing_charpoly_named():
     b = NewformClass(71, 2, 1, charpolys={2: IntPoly([1, 1])}, class_id="also2")
     with pytest.raises(KeyError, match="p=3"):
         compare_newforms(a, b)
+
+
+def test_comparison_refusals_are_typed():
+    """Both "not coprime" refusals are NotCoprimeError (exit 3); a missing
+    charpoly is a PreconditionError (exit 5) that is also a KeyError."""
+    (cls,) = newform_classes(11)
+    clone = NewformClass(
+        11, 2, 1, charpolys=dict(cls.charpolys), class_id="clone", subspace=cls._subspace
+    )
+    for g in (cls, clone):
+        with pytest.raises(NotCoprimeError) as exc:
+            compare_newforms(cls, g, ComparisonOptions(prime_cutoff_override=13))
+        assert exc.value.exit_code == 3
+    a = NewformClass(71, 2, 1, charpolys={2: IntPoly([2, 1])}, class_id="has2")
+    b = NewformClass(71, 2, 1, charpolys={2: IntPoly([1, 1])}, class_id="also2")
+    with pytest.raises(PreconditionError) as exc:
+        compare_newforms(a, b)
+    assert isinstance(exc.value, KeyError) and exc.value.exit_code == 5
 
 
 def test_eisenstein_scan_level_11():

@@ -18,6 +18,8 @@ class CongruonError(Exception):
     (2, a usage error, unless a subclass says otherwise)."""
 
     exit_code = 2
+    # the message as given, also where a subclass is a KeyError (which quotes it)
+    __str__ = Exception.__str__
 
 
 def xgcd(a, b):

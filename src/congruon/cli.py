@@ -49,8 +49,10 @@ def _load_form(spec):
         with open(path) as fh:
             dataset = parse_dataset(fh.read())
         return dataset.form(form_id)
-    except (OSError, KeyError) as e:
+    except OSError as e:
         raise CongruonError(str(e)) from None
+    except KeyError as e:
+        raise CongruonError(*e.args) from None
 
 
 class _Main(click.Group):
@@ -123,7 +125,7 @@ def charpoly(level, prime, class_id, cap):
 @click.option("--skip-Tl", "skip_tl", is_flag=True)
 @click.option("--assert-irred", is_flag=True)
 @click.option("--include-level-primes", is_flag=True)
-@click.option("--cutoff", type=int, default=None, help="Prime cutoff override.")
+@click.option("--cutoff", type=click.IntRange(min=2), help="Prime cutoff override.")
 @click.option("--store", type=click.Path(), default=None)
 def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutoff, store):
     """Compare two newform classes per the full algorithm."""
@@ -144,7 +146,7 @@ def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutof
 
 @main.command()
 @click.option("--level", type=click.IntRange(min=1), required=True)
-@click.option("--cutoff", type=int, default=None, help="Prime cutoff override.")
+@click.option("--cutoff", type=click.IntRange(min=2), help="Prime cutoff override.")
 @click.option("--cap", type=int, default=DEFAULT_LEVEL_CAP, show_default=True)
 def eisenstein(level, cutoff, cap):
     """Scan a prime level for congruences with the Eisenstein series."""

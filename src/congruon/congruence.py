@@ -154,14 +154,12 @@ def congruence_number(p, q):
         return CongruenceNumberResult(1, IntPoly([1]), IntPoly(), p, q)
     if q.degree == 0:
         return CongruenceNumberResult(1, IntPoly(), IntPoly([1]), p, q)
-    s_mat = sylvester_matrix(p, q)
-    h, b = hnf_with_transform(s_mat)
-    size = s_mat.nrows
-    c = h[size - 1, size - 1]
+    h, b = hnf_with_transform(sylvester_matrix(p, q))
+    c = h[-1][-1]
     if c == 0:
         raise NotCoprimeError("not coprime: inputs share a factor; factor first")
-    assert c > 0 and all(h[size - 1, j] == 0 for j in range(size - 1))
-    bottom = b.rows[-1]
+    assert c > 0 and not any(h[-1][:-1])
+    bottom = b[-1]
     n, m = q.degree, p.degree
     r = IntPoly(list(reversed(bottom[:n])))  # rows X^(n-1)P .. P
     s = IntPoly(list(reversed(bottom[n:])))  # rows X^(m-1)Q .. Q

@@ -1,7 +1,8 @@
-"""Exact big-integer polynomials and integer matrices.
+"""Exact big-integer polynomials and the integer matrices built from them.
 
 Polynomials are dense, coefficients ascending (coeffs[i] multiplies X^i).
-Everything here is pure and exact; no floating point is used anywhere.
+Matrices are sequences of rows, as in `linalg`. Everything here is pure and
+exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -234,54 +235,9 @@ def gcd_over_q(p, q):
     return a
 
 
-class IntMatrix:
-    """Immutable rectangular matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __mul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        bt = list(zip(*other.rows)) if other.rows else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
-        )
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.rows]})"
-
-
 def sylvester_matrix(p, q):
-    """Sylvester matrix with rows X^(n-1)P..P, X^(m-1)Q..Q over X^(m+n-1)..X^0."""
+    """Sylvester matrix with rows X^(n-1)P..P, X^(m-1)Q..Q over X^(m+n-1)..X^0,
+    as a tuple of tuples (hashable, so equal inputs can be recognised)."""
     if p.is_zero or q.is_zero:
         raise ValueError("Sylvester matrix needs nonzero polynomials")
     m, n = p.degree, q.degree
@@ -291,23 +247,24 @@ def sylvester_matrix(p, q):
         row = [0] * size
         for i, c in enumerate(p.coeffs):
             row[size - 1 - (i + k)] = c
-        rows.append(row)
+        rows.append(tuple(row))
     for k in range(m - 1, -1, -1):
         row = [0] * size
         for i, c in enumerate(q.coeffs):
             row[size - 1 - (i + k)] = c
-        rows.append(row)
-    return IntMatrix(rows)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def det_bareiss(matrix):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = matrix.nrows
-    if n != matrix.ncols:
+    """Determinant of a square matrix of rows by fraction-free (Bareiss)
+    elimination."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    a = [list(row) for row in matrix.rows]
+    a = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -352,14 +309,15 @@ def discriminant(p):
 
 
 def hnf_with_transform(matrix):
-    """Row Hermite normal form H with a unimodular B such that B*M = H.
+    """Row Hermite normal form H with a unimodular B such that B*M = H, for
+    a matrix M of rows; H and B are lists of rows.
 
     Pivots are positive, entries below them zero, entries above reduced into
     [0, pivot). Row operations reduce against the current pivot at each step
     to keep intermediate entries small.
     """
-    m, n = matrix.nrows, matrix.ncols
-    a = [list(row) for row in matrix.rows]
+    m, n = len(matrix), len(matrix[0]) if matrix else 0
+    a = [list(row) for row in matrix]
     b = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
     for j in range(n):
@@ -396,7 +354,7 @@ def hnf_with_transform(matrix):
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
                 b[i] = [x - q * y for x, y in zip(b[i], b[r])]
         r += 1
-    return IntMatrix(a), IntMatrix(b)
+    return a, b
 
 
 # ---------------------------------------------------------------------------

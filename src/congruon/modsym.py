@@ -8,6 +8,8 @@ integers first (see `linalg`): presentation columns are sparse, Hecke
 matrices are summed in int, and a subspace is held as its reduced echelon
 basis over one common denominator. Characteristic polynomials come out
 integral.
+Classes are split on the fixed part of the star involution, which holds
+each newform once, so a class's T_p charpoly there is its class charpoly.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ DEFAULT_LEVEL_CAP = 300
 # Splitting primes cap for conjugacy-class separation.
 MAX_SPLIT_PRIME = 50
 
-# A class is declared separated once its charpoly at some prime here is the
-# square of an irreducible polynomial.
+# A class is declared separated once its charpoly on the star-fixed part at
+# some prime here is irreducible.
 MAX_WITNESS_PRIME = 13
 
 
@@ -269,7 +271,6 @@ class ModSymSpace:
         red, pivots = rref(sorted(rows))
         pivot_set = set(pivots)
         free = [k for k in range(nvars) if k not in pivot_set]
-        self._free_vars = free
         self._generators = [self.p1[reps[k]] for k in free]
         self.dimension = len(free)
 
@@ -316,25 +317,36 @@ class ModSymSpace:
 
     # -- Hecke action -------------------------------------------------------
 
-    def hecke_matrix(self, p):
-        """Matrix of T_p (U_p when p | N) on the full space.
+    def _action_sum(self, matrices):
+        """Matrix on the full space of the sum of the right actions of
+        integer 2x2 matrices (a, b, c, d): (u:v) -> (ua + vc : ub + vd).
 
-        The image of each generator under each Merel matrix is added
-        straight into the total; off-P^1 images contribute nothing.
+        The image of each generator under each matrix is added straight
+        into the total; off-P^1 images contribute nothing.
         """
-        if p in self._hecke_cache:
-            return self._hecke_cache[p]
         n = self.n
         table, columns = self.p1.table, self._columns
         total = [[0] * self.dimension for _ in range(self.dimension)]
-        for a, b, c2, d2 in merel_matrices(p):
+        for a, b, c2, d2 in matrices:
             for col, (c, d) in enumerate(self._generators):
                 i = table[(c * a + d * c2) % n * n + (c * b + d * d2) % n]
                 if i >= 0:
                     for row, x in columns[i]:
                         total[row][col] += x
-        self._hecke_cache[p] = total
         return total
+
+    def hecke_matrix(self, p):
+        """Matrix of T_p (U_p when p | N) on the full space, from the Merel
+        matrices of determinant p."""
+        if p not in self._hecke_cache:
+            self._hecke_cache[p] = self._action_sum(merel_matrices(p))
+        return self._hecke_cache[p]
+
+    def star_matrix(self):
+        """Matrix of the star involution (c:d) -> (-c:d) on the full space,
+        the plain action of (-1, 0, 0, 1). Stein (GSM 79) writes it as
+        iota*[c:d] = -[-c:d], whose -1 eigenspace is the fixed part here."""
+        return self._action_sum([(-1, 0, 0, 1)])
 
     # -- cusps and boundary -------------------------------------------------
 
@@ -521,7 +533,8 @@ class NewformClass:
             )
 
     def class_charpoly(self, p):
-        """P_{f,p}: monic degree-d charpoly of T_p on the class."""
+        """P_{f,p}: monic degree-d charpoly of T_p on the class. An unsplit
+        class raises FactorizationCapError where its charpoly exceeds the cap."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p in self.charpolys:
@@ -530,36 +543,49 @@ class NewformClass:
             raise CharpolyMissingError(
                 f"charpoly for p={p} not available on class {self.id}"
             )
-        poly = _charpoly_square_root(self._subspace.charpoly_factors(p))
+        if self.unsplit:
+            self._subspace.charpoly_factors(p)
+        poly = self._subspace.hecke_charpoly(p)
         self._validate(p, poly)
         self.charpolys[p] = poly
         return poly
 
 
-def _charpoly_square_root(factors):
-    """Square root of a perfect-square monic polynomial, from its factors
-    over Z, by halving their multiplicities."""
-    out = IntPoly([1])
-    for fac, mult in factors:
-        if mult % 2:
-            raise AssertionError("charpoly on the doubled space is not a square")
-        out = out * fac ** (mult // 2)
-    return out
+def _kernel_subspace(piece, op):
+    """The subspace of piece killed by op, a matrix in piece's echelon basis."""
+    ker = nullspace(op, piece.dimension)
+    rows = mat_mul(ker, piece.echelon.rows)
+    return Subspace(piece.space, rows, "class", check_stability=False)
+
+
+def _is_witness(piece, p):
+    """True iff p <= MAX_WITNESS_PRIME and the T_p charpoly is irreducible."""
+    if p > MAX_WITNESS_PRIME:
+        return False
+    factors = piece.charpoly_factors(p)
+    return len(factors) == 1 and factors[0][1] == 1
 
 
 def decompose_into_classes(sub):
-    """Split the cuspidal new subspace into Galois conjugacy classes.
+    """Split a Hecke-stable subspace (the cuspidal new subspace) into Galois
+    conjugacy classes.
 
-    Splitting factors the charpoly of T_p for successive primes p not
-    dividing the level and cuts kernels of the factors; a piece is final
-    once its charpoly at some prime <= 13 is the square of an irreducible
-    polynomial. Classes get deterministic ids level.weight.a, .b, ...
+    First the fixed part of the star involution inside sub is cut out (see
+    `ModSymSpace.star_matrix`); it holds each class once. Splitting then
+    factors the charpoly of T_p on it for successive primes p not dividing
+    the level and cuts kernels of the factors; a piece is final once its
+    charpoly at some prime <= 13 is irreducible. Classes get deterministic
+    ids level.weight.a, .b, ...
     """
     space = sub.space
     n = space.n
     if sub.dimension == 0:
         return []
-    pieces = [(sub, False, False)]  # (subspace, separated, capped)
+    star = restrict_operator(space.star_matrix(), sub.echelon)
+    for i, row in enumerate(star):
+        row[i] -= 1
+    plus = _kernel_subspace(sub, star)
+    pieces = [(plus, False, False)]  # (subspace, separated, capped)
     split_primes = [p for p in primes_upto(MAX_SPLIT_PRIME) if n % p != 0]
     for p in split_primes:
         if all(done or capped for _, done, capped in pieces):
@@ -575,51 +601,33 @@ def decompose_into_classes(sub):
                 new_pieces.append((piece, False, True))
                 continue
             if len(factors) == 1:
-                fac, mult = factors[0]
-                sep = mult == 2 and p <= MAX_WITNESS_PRIME
-                new_pieces.append((piece, sep, False))
+                new_pieces.append((piece, _is_witness(piece, p), False))
                 continue
             m = piece.hecke_matrix(p)
             for fac, mult in factors:
-                # kernel coordinates are on the piece's echelon rows
-                ker = nullspace(apply_poly(fac**mult, m), piece.dimension)
-                rows = mat_mul(ker, piece.echelon.rows)
-                part = Subspace(space, rows, "class", check_stability=False)
+                part = _kernel_subspace(piece, apply_poly(fac**mult, m))
                 # the kernel of fac^mult(T_p) is its primary component, on
                 # which the charpoly of T_p is fac^mult
                 assert part.dimension == fac.degree * mult
+                part._charpolys[p] = fac**mult
                 part._factors[p] = [(fac, mult)]
-                sep = mult == 2 and p <= MAX_WITNESS_PRIME
-                new_pieces.append((part, sep, False))
+                new_pieces.append((part, _is_witness(part, p), False))
         pieces = new_pieces
     classes = []
     unsplit = []
     for piece, done, capped in pieces:
         if capped:
             unsplit.append(
-                NewformClass(
-                    n, 2, piece.dimension // 2, subspace=piece, unsplit=True
-                )
+                NewformClass(n, 2, piece.dimension, subspace=piece, unsplit=True)
             )
             continue
         # verify a separation witness even if the loop marked the piece done
-        witness = None
-        for p in split_primes:
-            if p > MAX_WITNESS_PRIME:
-                break
-            factors = piece.charpoly_factors(p)
-            if len(factors) == 1 and factors[0][1] == 2:
-                witness = p
-                break
-        if witness is None:
+        if not any(_is_witness(piece, p) for p in split_primes):
             raise ClassSeparationError(
                 f"class separation failed for a dimension-{piece.dimension} "
                 f"piece at level {n}"
             )
-        degree = piece.dimension // 2
-        cls = NewformClass(n, 2, degree, subspace=piece)
-        cls.class_charpoly(witness)
-        classes.append(cls)
+        classes.append(NewformClass(n, 2, piece.dimension, subspace=piece))
 
     # deterministic ordering and ids; unsplit pieces sort after regular ones
     def sort_key(cls):

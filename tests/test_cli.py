@@ -203,12 +203,27 @@ def test_charpoly_bad_prime(runner):
     assert _run(runner, ["charpoly", "--level", "11", "--p", "4"]).exit_code == 2
 
 
-@pytest.mark.parametrize("command", ["charpoly", "eisenstein"])
-@pytest.mark.parametrize("level", ["0", "-5"])
-def test_level_below_one_is_a_usage_error(runner, command, level):
-    r = _run(runner, [command, "--level", level])
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param([command, "--level", level], id=f"{level}-{command}")
+        for level in ("0", "-5")
+        for command in ("charpoly", "eisenstein")
+    ]
+    + [
+        pytest.param([*command, "--cutoff", cutoff], id=f"cutoff{cutoff}-{command[0]}")
+        for cutoff in ("1", "-3")
+        for command in (
+            ["eisenstein", "--level", "11"],
+            ["congforms", "--f", "d.txt#f", "--g", "d.txt#g"],
+        )
+    ],
+)
+def test_level_below_one_is_a_usage_error(runner, args):
+    """So is a --cutoff below 2 on eisenstein and congforms."""
+    r = _run(runner, args)
     assert r.exit_code == 2
-    assert "--level" in r.stderr
+    assert args[-2] in r.stderr
 
 
 def test_factor_cap_not_an_integer(runner):
@@ -267,8 +282,22 @@ def test_congforms_missing_form(runner, dataset71):
         ["congforms", "--f", f"{dataset71}#nope", "--g", f"{dataset71}#71.2.a"],
     )
     assert r.exit_code == 2
+    assert r.stderr == "error: no form with id 'nope'\n"
     r2 = _run(runner, ["congforms", "--f", dataset71, "--g", f"{dataset71}#71.2.a"])
     assert r2.exit_code == 2
+
+
+def test_congforms_missing_charpoly(runner, tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text(
+        "FORM id=f level=11 weight=2 degree=1\nCP id=f p=2 coeffs=2,1\n"
+        "FORM id=g level=11 weight=2 degree=1\nCP id=g p=2 coeffs=1,1\n"
+    )
+    r = _run(
+        runner, ["congforms", "--f", f"{path}#f", "--g", f"{path}#g", "--cutoff", "3"]
+    )
+    assert r.exit_code == 5
+    assert r.stderr == "error: charpoly for p=3 not available on class f\n"
 
 
 def test_congforms_weight_precondition(runner, tmp_path, dataset71):

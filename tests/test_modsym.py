@@ -5,7 +5,15 @@ from pathlib import Path
 import pytest
 
 from congruon.intpoly import IntPoly, discriminant, factor_over_z
-from congruon.linalg import EchelonBasis, charpoly, mat_mul, mat_vec, restrict_operator
+import congruon.modsym
+from congruon.linalg import (
+    EchelonBasis,
+    charpoly,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    restrict_operator,
+)
 from congruon.modsym import (
     P1,
     LevelCapError,
@@ -20,6 +28,7 @@ from congruon.modsym import (
     merel_matrices,
     newform_classes,
 )
+from congruon.pipeline import sturm_bound
 
 
 # --- independent genus / dimension oracle (arithmetic formulas only) --------
@@ -182,6 +191,25 @@ def test_hecke_commutativity_on_new_subspace(n):
             assert mat_mul(mats[p], mats[q]) == mat_mul(mats[q], mats[p])
 
 
+@pytest.mark.parametrize("n", [11, 37, 90, 135])
+def test_star_involution(n):
+    """star^2 = 1 on the full space; on the new subspace the star commutes
+    with T_2 and T_3 (U_p where p | N), and its fixed part has half the
+    dimension, one copy of each newform."""
+    space = build_space(n)
+    star = space.star_matrix()
+    dim = space.dimension
+    assert mat_mul(star, star) == [[int(i == j) for j in range(dim)] for i in range(dim)]
+    new = cuspidal_new_subspace(space)
+    s = restrict_operator(star, new.echelon)
+    for p in (2, 3):
+        t = new.hecke_matrix(p)
+        assert mat_mul(s, t) == mat_mul(t, s)
+    for i, row in enumerate(s):
+        row[i] -= 1
+    assert 2 * len(nullspace(s, new.dimension)) == new.dimension
+
+
 def test_restriction_to_unstable_span_rejected():
     space = build_space(37)
     cusp = cuspidal_subspace(space)
@@ -313,6 +341,30 @@ def test_class_charpoly_product_law():
             for c in classes:
                 prod = prod * c.class_charpoly(p) ** 2
             assert prod == chi
+
+
+def test_level_71_export_work(monkeypatch):
+    """Exporting level 71 at its Sturm primes factors one charpoly, of the
+    6-dim star-fixed part at p = 2, whose two cubic factors split it into the
+    classes; the charpolys taken have dimensions 6 + 2 * 4 * 3 = 30. On the
+    doubled space this took 9 factorizations and a dimension sum of 60."""
+    work = {"factor_over_z": 0, "charpoly_dim_sum": 0}
+    factor_over_z, charpoly = congruon.modsym.factor_over_z, congruon.modsym.charpoly
+
+    def counted_factor(poly, *args):
+        work["factor_over_z"] += 1
+        return factor_over_z(poly, *args)
+
+    def counted_charpoly(m):
+        work["charpoly_dim_sum"] += len(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(congruon.modsym, "factor_over_z", counted_factor)
+    monkeypatch.setattr(congruon.modsym, "charpoly", counted_charpoly)
+    for cls in newform_classes(71):
+        for p in sturm_bound(71, 2).primes:
+            cls.class_charpoly(p)
+    assert work == {"factor_over_z": 1, "charpoly_dim_sum": 30}
 
 
 def test_basis_independence():

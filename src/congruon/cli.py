@@ -19,6 +19,7 @@ from .intpoly import IntPoly
 from .modsym import DEFAULT_LEVEL_CAP, newform_classes
 from .pipeline import (
     ComparisonOptions,
+    check_eisenstein_level,
     compare_newforms,
     eisenstein_scan,
     level_raising_check,
@@ -72,6 +73,9 @@ def main():
 
 
 _COEFFS = r"^-?\d+(,-?\d+)*$"
+_CAP = click.option(
+    "--cap", type=click.IntRange(min=1), default=DEFAULT_LEVEL_CAP, show_default=True
+)
 
 
 @main.command(context_settings={"ignore_unknown_options": True})
@@ -108,15 +112,19 @@ def congpoly(specs, ell, all_ell, pretty):
 @click.option("--level", type=click.IntRange(min=1), required=True)
 @click.option("--p", "prime", type=int, multiple=True, help="Primes to tabulate.")
 @click.option("--class", "class_id", default=None, help="Restrict to one class id.")
-@click.option("--cap", type=int, default=DEFAULT_LEVEL_CAP, show_default=True)
+@_CAP
 def charpoly(level, prime, class_id, cap):
     """Emit FORM/CP dataset lines for the weight-2 classes at a level."""
     for p in prime:
         if not is_prime(p):
             raise CongruonError(f"{p} is not prime")
-    for cls in newform_classes(level, cap=cap):
-        if class_id is None or cls.id == class_id:
-            click.echo(export_class(cls, prime).rstrip("\n"))
+    classes = newform_classes(level, cap=cap)
+    if class_id is not None:
+        classes = [cls for cls in classes if cls.id == class_id]
+        if not classes:
+            raise CongruonError(f"no class with id {class_id!r} at level {level}")
+    for cls in classes:
+        click.echo(export_class(cls, prime).rstrip("\n"))
 
 
 @main.command()
@@ -147,9 +155,10 @@ def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutof
 @main.command()
 @click.option("--level", type=click.IntRange(min=1), required=True)
 @click.option("--cutoff", type=click.IntRange(min=2), help="Prime cutoff override.")
-@click.option("--cap", type=int, default=DEFAULT_LEVEL_CAP, show_default=True)
+@_CAP
 def eisenstein(level, cutoff, cap):
     """Scan a prime level for congruences with the Eisenstein series."""
+    check_eisenstein_level(level)
     for cls in newform_classes(level, cap=cap):
         entries = eisenstein_scan(cls, prime_cutoff_override=cutoff)
         if not entries:

@@ -1,13 +1,16 @@
 """Weight-2 modular symbols for Gamma0(N): Hecke operators, the cuspidal new
 subspace, and its decomposition into Galois conjugacy classes.
 
-Manin symbols are indexed by P^1(Z/NZ); the space is the quotient by the
-two-term (x + xS = 0) and three-term (x + xU + xU^2 = 0) relations, with
-S: (c:d) -> (d:-c) and U: (c:d) -> (d:-c-d). Everything is exact and
-integers first (see `linalg`): presentation columns are sparse, Hecke
-matrices are summed in int, and a subspace is held as its reduced echelon
-basis over one common denominator. Characteristic polynomials come out
-integral.
+Manin symbols are indexed by P^1(Z/NZ), whose lookup table is written one
+unit orbit per representative; the space is the quotient by the two-term
+(x + xS = 0) and three-term (x + xU + xU^2 = 0) relations, with
+S: (c:d) -> (d:-c) and U: (c:d) -> (d:-c-d), the three-term ones put in
+reduced echelon form by sparse elimination. Everything is exact and integers
+first (see `linalg`): presentation columns are sparse, Hecke matrices are
+summed in int over Heilbronn matrices (Cremona's for an odd prime p not
+dividing N, Merel's otherwise), and a subspace is held as its reduced
+echelon basis over one common denominator. Characteristic polynomials come
+out integral.
 Classes are split on the fixed part of the star involution, which holds
 each newform once, so a class's T_p charpoly there is its class charpoly.
 """
@@ -29,7 +32,6 @@ from .linalg import (
     mat_mul,
     nullspace,
     restrict_operator,
-    rref,
 )
 
 DEFAULT_LEVEL_CAP = 300
@@ -81,22 +83,23 @@ class P1:
         if n < 1:
             raise ValueError("level must be >= 1")
         self.n = n
-        # First the code r_c * N + r_d of each pair's representative, set
-        # for a whole unit orbit {(uc:ud)} at once; then its index among the
-        # sorted representatives.
+        # A point (c:d) has a representative (g:d') with g = gcd(c, N), read
+        # as 0 when N | c, whose d' is the least among the pairs (g:ud) with
+        # u a unit = 1 mod N/g. Scanning c = 0 and then the proper divisors of N
+        # in ascending order, d ascending, meets the representatives in
+        # sorted order, each as the first unmarked point of its unit orbit,
+        # which is then marked whole.
         units = [u for u in range(n) if math.gcd(u, n) == 1]
         self.table = array("i", [-1]) * (n * n)
-        for c in range(n):
+        self._list = []
+        for c in [0, *divisors(n)[:-1]]:
+            g = c or n
             for d in range(n):
-                if self.table[c * n + d] < 0 and (r := self.reduce((c, d))) is not None:
+                if self.table[c * n + d] < 0 and math.gcd(g, d) == 1:
+                    i = len(self._list)
+                    self._list.append((c, d))
                     for u in units:
-                        self.table[u * c % n * n + u * d % n] = r[0] * n + r[1]
-        codes = sorted(set(self.table) - {-1})
-        self._list = [divmod(code, n) for code in codes]
-        position = {code: i for i, code in enumerate(codes)}
-        for k, code in enumerate(self.table):
-            if code >= 0:
-                self.table[k] = position[code]
+                        self.table[u * c % n * n + u * d % n] = i
 
     def __len__(self):
         return len(self._list)
@@ -108,7 +111,8 @@ class P1:
         return iter(self._list)
 
     def reduce(self, pair):
-        """Canonical representative of (c:d); None if not a projective point."""
+        """Canonical representative of (c:d); None if not a projective point.
+        Computed directly, without the table, which tests check against it."""
         n = self.n
         c, d = pair
         c %= n
@@ -151,6 +155,30 @@ def merel_matrices(n):
                 for b in range((bc - 1) // (d - 1) + 1, a):
                     if bc % b == 0:
                         yield a, b, bc // b, d
+
+
+def _nearest(a, b):
+    """a / b rounded to the nearest integer, halves away from zero."""
+    q = (2 * abs(a) + abs(b)) // (2 * abs(b))
+    return q if (a < 0) == (b < 0) else -q
+
+
+def cremona_matrices(p):
+    """Cremona's Heilbronn matrices of determinant p, an odd prime, defining
+    T_p at levels prime to p (Cremona, Algorithms for Modular Elliptic
+    Curves, 2.4): (1, 0, 0, p) and, for each r with |r| <= p/2, the
+    matrices met along the nearest-integer continued fraction of p/r."""
+    yield 1, 0, 0, p
+    for r in range(-(p // 2), p // 2 + 1):
+        x1, x2, y1, y2 = p, -r, 0, 1
+        a, b = -p, r
+        yield x1, x2, y1, y2
+        while b:
+            q = _nearest(a, b)
+            a, b = -b, a - b * q
+            x1, x2 = x2, q * x2 - x1
+            y1, y2 = y2, q * y2 - y1
+            yield x1, x2, y1, y2
 
 
 def lift_to_sl2z(c, d, n):
@@ -233,6 +261,48 @@ def genus_x0(n):
     return int(g)
 
 
+def _int_if_integral(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def _subtract(row, f, other):
+    """row -= f * other for sparse rows, dropping the entries that become 0."""
+    for j, y in other.items():
+        x = row.get(j, 0) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _sparse_rref(rows):
+    """Reduced row echelon form of sparse rows {column: value}, as
+    {pivot column: row}.
+
+    Gauss-Jordan one row at a time: a row loses its entries at the pivots
+    found so far, its least column becomes its pivot, scaled to 1, and that
+    column is cleared from the earlier rows. Every row is then nonzero only
+    at its pivot and at later non-pivot columns, so the result is the unique
+    reduced echelon form. Entries are int where integral, else Fraction.
+    """
+    pivot_rows = {}
+    for row in rows:
+        row = {k: x for k, x in row.items() if x}
+        for k in [k for k in row if k in pivot_rows]:
+            _subtract(row, row[k], pivot_rows[k])
+        if not row:
+            continue
+        pivot = min(row)
+        c = row[pivot]
+        if c != 1:
+            row = {k: x // c if x % c == 0 else Fraction(x, c) for k, x in row.items()}
+        for target in pivot_rows.values():
+            if pivot in target:
+                _subtract(target, target[pivot], row)
+        pivot_rows[pivot] = row
+    return pivot_rows
+
+
 class ModSymSpace:
     """Weight-2 modular symbols for Gamma0(N) presented on free generators."""
 
@@ -257,20 +327,23 @@ class ModSymSpace:
                 var_of[i] = (k, -sgn)
         nvars = len(reps)
 
-        # Three-term relations x + xU + xU^2 = 0 in the reduced variables.
+        # Three-term relations x + xU + xU^2 = 0 in the reduced variables,
+        # one per U-orbit (U has order 3), in reduced echelon form: the
+        # relation with pivot k expresses x_k in the free variables.
         u_img = [self.p1.index((d, (-c - d) % n)) for c, d in self.p1]
-        rows = set()
+        relations = []
+        seen = bytearray(npts)
         for i in range(npts):
-            row = [0] * nvars
-            for j in (i, u_img[i], u_img[u_img[i]]):
-                if var_of[j] is not None:
-                    k, sgn = var_of[j]
-                    row[k] += sgn
-            if any(row):
-                rows.add(tuple(row))
-        red, pivots = rref(sorted(rows))
-        pivot_set = set(pivots)
-        free = [k for k in range(nvars) if k not in pivot_set]
+            if not seen[i]:
+                row = {}
+                for j in (i, u_img[i], u_img[u_img[i]]):
+                    seen[j] = 1
+                    if var_of[j] is not None:
+                        k, sgn = var_of[j]
+                        row[k] = row.get(k, 0) + sgn
+                relations.append(row)
+        pivot_rows = _sparse_rref(relations)
+        free = [k for k in range(nvars) if k not in pivot_rows]
         self._generators = [self.p1[reps[k]] for k in free]
         self.dimension = len(free)
 
@@ -279,8 +352,13 @@ class ModSymSpace:
         expr = [None] * nvars
         for pos, k in enumerate(free):
             expr[k] = ((pos, 1),)
-        for row, pj in zip(red, pivots):
-            expr[pj] = tuple((pos, -row[k]) for pos, k in enumerate(free) if row[k])
+        position = {k: pos for pos, k in enumerate(free)}
+        for pj, row in pivot_rows.items():
+            expr[pj] = tuple(
+                (position[k], -_int_if_integral(x))
+                for k, x in sorted(row.items())
+                if k != pj
+            )
 
         # Presentation columns: P^1 index -> sparse coordinates in the free
         # basis.
@@ -292,9 +370,7 @@ class ModSymSpace:
                 k, sgn = var_of[i]
                 self._columns.append(tuple((pos, sgn * x) for pos, x in expr[k]))
 
-        # Consistency: relation rank + dimension accounts for all variables,
-        # and the dimension matches the Eichler-Shimura count.
-        assert len(red) + self.dimension == nvars
+        # Consistency: the dimension matches the Eichler-Shimura count.
         b, nu2, nu3, nu_inf = _cusp_invariants(n)
         assert self.dimension == 2 * genus_x0(n) + nu_inf - 1
 
@@ -326,20 +402,28 @@ class ModSymSpace:
         """
         n = self.n
         table, columns = self.p1.table, self._columns
-        total = [[0] * self.dimension for _ in range(self.dimension)]
-        for a, b, c2, d2 in matrices:
-            for col, (c, d) in enumerate(self._generators):
+        matrices = list(matrices)
+        images = []
+        for c, d in self._generators:
+            image = [0] * self.dimension
+            for a, b, c2, d2 in matrices:
                 i = table[(c * a + d * c2) % n * n + (c * b + d * d2) % n]
                 if i >= 0:
                     for row, x in columns[i]:
-                        total[row][col] += x
-        return total
+                        image[row] += x
+            images.append(image)
+        return [list(row) for row in zip(*images)]
 
     def hecke_matrix(self, p):
-        """Matrix of T_p (U_p when p | N) on the full space, from the Merel
-        matrices of determinant p."""
+        """Matrix of T_p (U_p when p | N) on the full space, summed over
+        Cremona's matrices of determinant p for an odd prime p not dividing
+        N and over Merel's otherwise."""
         if p not in self._hecke_cache:
-            self._hecke_cache[p] = self._action_sum(merel_matrices(p))
+            if p % 2 and self.n % p and is_prime(p):
+                matrices = cremona_matrices(p)
+            else:
+                matrices = merel_matrices(p)
+            self._hecke_cache[p] = self._action_sum(matrices)
         return self._hecke_cache[p]
 
     def star_matrix(self):
@@ -415,13 +499,15 @@ class ModSymSpace:
 
 class Subspace:
     """Hecke-stable subspace spanned by independent vectors, held as its
-    reduced echelon basis (computed once). The charpoly of T_p and its
-    factorization are memoised per prime."""
+    reduced echelon basis (computed once). The matrix of T_p, its charpoly
+    and the charpoly's factorization are memoised per prime; callers must
+    not modify a returned matrix."""
 
     def __init__(self, space, basis, tag, check_stability=True):
         self.space = space
         self.echelon = EchelonBasis.of(basis)
         self.tag = tag
+        self._matrices = {}
         self._charpolys = {}
         self._factors = {}
         if check_stability and self.dimension:
@@ -434,7 +520,10 @@ class Subspace:
 
     def hecke_matrix(self, p):
         """Matrix of T_p restricted to this subspace, in its echelon basis."""
-        return restrict_operator(self.space.hecke_matrix(p), self.echelon)
+        if p not in self._matrices:
+            full = self.space.hecke_matrix(p)
+            self._matrices[p] = restrict_operator(full, self.echelon)
+        return self._matrices[p]
 
     def hecke_charpoly(self, p):
         if p not in self._charpolys:

@@ -246,6 +246,12 @@ class EisensteinEntry:
     mazur_valuation: int
 
 
+def check_eisenstein_level(n):
+    """Refuse a level the Eisenstein scan does not cover: it must be prime."""
+    if not is_prime(n):
+        raise PreconditionError("Eisenstein scan needs a prime level")
+
+
 def eisenstein_scan(f, prime_cutoff_override=None):
     """Congruences with the weight-2 Eisenstein series at prime level.
 
@@ -255,8 +261,7 @@ def eisenstein_scan(f, prime_cutoff_override=None):
     v_ell(numerator((N-1)/12)) for context.
     """
     n = f.level
-    if not is_prime(n):
-        raise PreconditionError("Eisenstein scan needs a prime level")
+    check_eisenstein_level(n)
     if f.weight != 2:
         raise PreconditionError("Eisenstein scan is weight-2 only")
     sb = sturm_bound(n, 2)

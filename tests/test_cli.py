@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import congruon.cli
 import congruon.congruence
 import congruon.modsym
 from congruon import CongruonError
@@ -175,6 +176,13 @@ def test_charpoly_level_71_two_forms(runner):
     assert r2.output.count("FORM ") == 1
 
 
+def test_charpoly_unknown_class(runner):
+    r = _run(runner, ["charpoly", "--level", "37", "--p", "2", "--class", "nope"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "error: no class with id 'nope' at level 37" in r.stderr
+
+
 def test_charpoly_cap(runner):
     assert _run(runner, ["charpoly", "--level", "301", "--p", "2"]).exit_code == 4
     r = _run(runner, ["charpoly", "--level", "301", "--p", "2", "--cap", "301"])
@@ -192,9 +200,10 @@ def test_factorization_cap_exit_code(runner, args):
 
 @pytest.mark.parametrize("command", ["charpoly", "eisenstein"])
 def test_class_separation_cap_exit_code(runner, monkeypatch, command):
-    # no splitting prime up to 2 avoids level 14, so no class is separated
+    # T_2, the only splitting prime up to 2, leaves a dimension-2 piece at
+    # the prime level 113 unseparated
     monkeypatch.setattr(congruon.modsym, "MAX_SPLIT_PRIME", 2)
-    r = _run(runner, [command, "--level", "14"])
+    r = _run(runner, [command, "--level", "113"])
     assert r.exit_code == 4
     assert "class separation failed" in r.output
 
@@ -217,10 +226,16 @@ def test_charpoly_bad_prime(runner):
             ["eisenstein", "--level", "11"],
             ["congforms", "--f", "d.txt#f", "--g", "d.txt#g"],
         )
+    ]
+    + [
+        pytest.param([command, "--level", "11", "--cap", cap], id=f"cap{cap}-{command}")
+        for cap in ("0", "-5")
+        for command in ("charpoly", "eisenstein")
     ],
 )
 def test_level_below_one_is_a_usage_error(runner, args):
-    """So is a --cutoff below 2 on eisenstein and congforms."""
+    """So is a --cutoff below 2 on eisenstein and congforms, and a --cap
+    below 1 on charpoly and eisenstein."""
     r = _run(runner, args)
     assert r.exit_code == 2
     assert args[-2] in r.stderr
@@ -357,6 +372,20 @@ def test_eisenstein_level_11(runner):
     assert r.exit_code == 0
     assert "EIS id=11.2.a ell=5 n=1 mazur=1" in r.output
     assert _run(runner, ["eisenstein", "--level", "11"]).exit_code == 5
+
+
+@pytest.mark.parametrize("level", ["1", "12", "15"])
+def test_eisenstein_refuses_non_prime_level(runner, monkeypatch, level):
+    """Before any space is built, also where the level has no classes."""
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("space built for a non-prime level")
+
+    monkeypatch.setattr(congruon.cli, "newform_classes", no_engine)
+    r = _run(runner, ["eisenstein", "--level", level])
+    assert r.exit_code == 5
+    assert r.stdout == ""
+    assert "error: Eisenstein scan needs a prime level" in r.stderr
 
 
 def test_levelraise_17(runner, tmp_path):

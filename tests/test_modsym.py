@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from congruon.arith import primes_upto
 from congruon.intpoly import IntPoly, discriminant, factor_over_z
 import congruon.modsym
 from congruon.linalg import (
@@ -20,6 +21,7 @@ from congruon.modsym import (
     ModSymSpace,
     Subspace,
     build_space,
+    cremona_matrices,
     cuspidal_new_subspace,
     cuspidal_subspace,
     decompose_into_classes,
@@ -107,6 +109,65 @@ def test_p1_index_agrees_with_reduce(n):
                     p1.index((c, d))
             else:
                 assert p1[p1.index((c, d))] == r
+
+
+def test_p1_table_agrees_with_reduce():
+    """The table, built from the representatives' unit orbits, holds the
+    index of reduce(c, d) at every pair, and -1 off the projective line."""
+    for n in [*range(1, 81), 128, 243, 300]:
+        p1 = P1(n)
+        assert list(p1) == sorted(p1)
+        position = {pair: i for i, pair in enumerate(p1)}
+        for c in range(n):
+            for d in range(n):
+                r = p1.reduce((c, d))
+                expected = -1 if r is None else position[r]
+                assert p1.table[c * n + d] == expected, (n, c, d)
+
+
+def test_presentation_satisfies_relations():
+    """Each Manin symbol's column satisfies x_i + x_iS = 0 and
+    x_i + x_iU + x_iU^2 = 0 exactly, and each free generator's column is
+    its unit vector."""
+    for n in range(1, 121):
+        space = ModSymSpace(n)
+        p1 = space.p1
+        col = {pair: space.symbol_vector(pair) for pair in p1}
+        zero = [0] * space.dimension
+
+        def s_(pair):  # (c:d) -> (d:-c)
+            return p1[p1.index((pair[1], -pair[0]))]
+
+        def u_(pair):  # (c:d) -> (d:-c-d)
+            return p1[p1.index((pair[1], -pair[0] - pair[1]))]
+
+        for pair, x in col.items():
+            xs, xu, xuu = col[s_(pair)], col[u_(pair)], col[u_(u_(pair))]
+            assert all(type(v) is int for v in x), n
+            assert [a + b for a, b in zip(x, xs)] == zero, (n, pair)
+            assert [a + b + c for a, b, c in zip(x, xu, xuu)] == zero, (n, pair)
+        for k, pair in enumerate(space.generator_symbols()):
+            assert col[pair] == [int(j == k) for j in range(space.dimension)]
+
+
+def test_cremona_set_determinant_and_size():
+    for p in primes_upto(200)[1:]:
+        for a, b, c, d in cremona_matrices(p):
+            assert a * d - b * c == p
+    # about half of Merel's set
+    assert [len(list(f(31))) for f in (cremona_matrices, merel_matrices)] == [106, 219]
+    assert [len(list(f(43))) for f in (cremona_matrices, merel_matrices)] == [154, 345]
+
+
+def test_cremona_hecke_matrix_equals_merel():
+    """Full-space T_p, summed over Cremona's matrices, equals the sum over
+    Merel's entry by entry."""
+    for n in range(1, 101):
+        space = ModSymSpace(n)
+        for p in primes_upto(47)[1:]:
+            if n % p:
+                merel = space._action_sum(merel_matrices(p))
+                assert space.hecke_matrix(p) == merel, (n, p)
 
 
 def test_merel_set_determinant_and_p2():

@@ -5,15 +5,12 @@ from .congruence import (
     CongruenceBounds,
     CongruenceNumberResult,
     NotCoprimeError,
-    bounds_via_congruence_number,
     common_root_mod_ell,
     congruence_number,
     difference_root_poly,
-    exact_exponent_newton,
-    solve_problem_2_4,
 )
-from .intpoly import FactorizationCapError, IntPoly, factor_over_z, resultant
-from .padic import PrimePower, gamma, newton_polygon, val
+from .intpoly import FactorizationCapError, IntPoly, factor_over_z
+from .padic import newton_polygon
 
 __all__ = [
     "CongruenceBounds",
@@ -22,18 +19,11 @@ __all__ = [
     "FactorizationCapError",
     "IntPoly",
     "NotCoprimeError",
-    "PrimePower",
-    "bounds_via_congruence_number",
     "common_root_mod_ell",
     "congruence_number",
     "difference_root_poly",
-    "exact_exponent_newton",
     "factor_over_z",
-    "gamma",
     "newton_polygon",
-    "resultant",
-    "solve_problem_2_4",
-    "val",
 ]
 
 __version__ = "0.1.0"

@@ -37,13 +37,6 @@ def xgcd(a, b):
     return old_r, old_x, old_y
 
 
-def inverse_mod(a, n):
-    g, x, _ = xgcd(a, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
-    return x % n
-
-
 def _miller_rabin(n, bases):
     d = n - 1
     s = 0

@@ -96,6 +96,8 @@ def congpoly(specs, ell, all_ell, pretty):
         raise CongruonError("expected exactly two coefficient lists")
     p = _parse_poly(specs[0])
     q = _parse_poly(specs[1])
+    if ell is not None and all_ell:
+        raise CongruonError("--ell and --all-ell are alternatives; pass one")
     if ell is not None and not is_prime(ell):
         raise CongruonError(f"--ell {ell} is not prime")
     res = congruence_number(p, q)

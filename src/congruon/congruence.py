@@ -221,11 +221,6 @@ def _bounds_irreducible_pair(res, ell):
     return CongruenceBounds(ell, 1, n, n == 1, "d-iii")
 
 
-def bounds_via_congruence_number(p, q, ell):
-    """Exponent bounds from the congruence-number case analysis."""
-    return congruence_number(p, q).bounds(ell)
-
-
 def difference_root_poly(p, q):
     """F(Y) = Res_X(P(X), Q(X+Y)) for monic P, Q: the monic polynomial whose
     roots are the differences beta - alpha of the roots of P and of Q.
@@ -272,14 +267,3 @@ def _from_power_sums(sums):
             raise AssertionError("Newton's identities gave a non-integer coefficient")
         c.append(ck)
     return IntPoly(c[::-1])
-
-
-def exact_exponent_newton(p, q, ell):
-    """Exact maximal exponent via the Newton polygon of F(Y)."""
-    return congruence_number(p, q)._newton_exponent(ell)
-
-
-def solve_problem_2_4(p, q, ell):
-    """Maximal n such that P and Q have roots congruent modulo ell^n, as
-    (n, method); see CongruenceNumberResult.exponent."""
-    return congruence_number(p, q).exponent(ell)

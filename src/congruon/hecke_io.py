@@ -124,10 +124,13 @@ def parse_dataset(text):
             if f["id"] in forms:
                 raise FormatError(f"duplicate id {f['id']!r} at line {lineno}")
             try:
-                level, weight, degree = int(f["level"]), int(f["weight"]), int(f["degree"])
+                nums = {k: int(f[k]) for k in ("level", "weight", "degree")}
             except ValueError as e:
                 raise FormatError(f"bad integer at line {lineno}") from e
-            forms[f["id"]] = NewformClass(level, weight, degree, class_id=f["id"])
+            for k, v in nums.items():
+                if v < 1:
+                    raise FormatError(f"{k}={v} is below 1 at line {lineno}")
+            forms[f["id"]] = NewformClass(**nums, class_id=f["id"])
             order.append(f["id"])
         elif line.startswith("CP "):
             f = _fields(line, lineno, ["id", "p", "coeffs"])

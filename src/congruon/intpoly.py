@@ -12,7 +12,7 @@ import os
 import random
 from itertools import combinations
 
-from .arith import CongruonError, inverse_mod, is_prime
+from .arith import CongruonError, is_prime
 
 DEFAULT_FACTOR_CAP = 64
 
@@ -256,58 +256,6 @@ def sylvester_matrix(p, q):
     return tuple(rows)
 
 
-def det_bareiss(matrix):
-    """Determinant of a square matrix of rows by fraction-free (Bareiss)
-    elimination."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def resultant(p, q):
-    """Res(P, Q): determinant of the Sylvester matrix of (P, Q)."""
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    if p.degree == 0:
-        return p.coeffs[0] ** q.degree
-    if q.degree == 0:
-        return q.coeffs[0] ** p.degree
-    return det_bareiss(sylvester_matrix(p, q))
-
-
-def discriminant(p):
-    """disc(P) = (-1)^(d(d-1)/2) Res(P, P') / lc(P)."""
-    d = p.degree
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return 1
-    r = resultant(p, p.derivative())
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    assert r % p.leading == 0
-    return sign * (r // p.leading)
-
-
 def hnf_with_transform(matrix):
     """Row Hermite normal form H with a unimodular B such that B*M = H, for
     a matrix M of rows; H and B are lists of rows.
@@ -420,7 +368,7 @@ def _pm_divmod(a, b, m):
     """Division by b with invertible leading coefficient, mod m."""
     a = list(a)
     db = len(b) - 1
-    inv = inverse_mod(b[-1], m)
+    inv = pow(b[-1], -1, m)
     q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
         if a[i]:
@@ -437,7 +385,7 @@ def _pm_gcd(a, b, p):
         _, r = _pm_divmod(a, b, p)
         a, b = b, r
     if a:
-        inv = inverse_mod(a[-1], p)
+        inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
 
@@ -452,7 +400,7 @@ def _pm_xgcd(a, b, p):
         s0, s1 = s1, _pm_sub(s0, _pm_mul(q, s1, p), p)
         t0, t1 = t1, _pm_sub(t0, _pm_mul(q, t1, p), p)
     if r0:
-        inv = inverse_mod(r0[-1], p)
+        inv = pow(r0[-1], -1, p)
         r0 = [c * inv % p for c in r0]
         s0 = [c * inv % p for c in s0]
         t0 = [c * inv % p for c in t0]
@@ -535,7 +483,7 @@ def _hensel_lift_list(f, modular_factors, p, target):
     def rec(fc, facs):
         # fc: coeff list of the (partial) product, known mod q, lc invertible mod q
         if len(facs) == 1:
-            inv = inverse_mod(fc[-1], q)
+            inv = pow(fc[-1], -1, q)
             return [[c * inv % q for c in fc]]
         k = len(facs) // 2
         h0 = [1]
@@ -580,7 +528,7 @@ def _choose_prime(f, rng):
         fp = _pm_trim([c % p for c in f.coeffs])
         dfp = _pm_trim([c % p for c in f.derivative().coeffs])
         if len(_pm_gcd(fp, dfp, p)) == 1:
-            inv = inverse_mod(fp[-1], p)
+            inv = pow(fp[-1], -1, p)
             fp_monic = [c * inv % p for c in fp]
             facs = _factor_mod_p(fp_monic, p, rng)
             candidates.append((len(facs), p, facs))

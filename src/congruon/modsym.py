@@ -24,7 +24,7 @@ from fractions import Fraction
 from .arith import CongruonError, divisors, euler_phi, factorize, index_gamma0
 from .arith import is_prime, prime_divisors, primes_upto, xgcd
 from .congruence import PreconditionError
-from .intpoly import FactorizationCapError, IntPoly, factor_over_z
+from .intpoly import FactorizationCapError, factor_over_z
 from .linalg import (
     EchelonBasis,
     apply_poly,
@@ -60,23 +60,12 @@ class CharpolyMissingError(PreconditionError, KeyError):
     """A class read from a dataset has no charpoly at the requested prime."""
 
 
-def _lift_unit(n, d, a):
-    """Lift a unit a modulo the divisor d of n to a unit modulo n."""
-    u, v = 1, n
-    g = math.gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = math.gcd(v, g)
-    _, x, y = xgcd(u, v)
-    return (u * x + a * y * v) % n
-
-
 class P1:
     """Representatives of the projective line P^1(Z/NZ).
 
     table[c * N + d] is the index of the representative of (c:d) for
-    0 <= c, d < N, or -1 where (c:d) is not a projective point.
+    0 <= c, d < N, or -1 where (c:d) is not a projective point. Its
+    reference, a direct reduction of each pair, is in tests/test_modsym.py.
     """
 
     def __init__(self, n):
@@ -109,29 +98,6 @@ class P1:
 
     def __iter__(self):
         return iter(self._list)
-
-    def reduce(self, pair):
-        """Canonical representative of (c:d); None if not a projective point.
-        Computed directly, without the table, which tests check against it."""
-        n = self.n
-        c, d = pair
-        c %= n
-        d %= n
-        if n == 1:
-            return (0, 0)
-        if c == 0:
-            if math.gcd(n, d) == 1:
-                return (0, 1)
-            return None
-        g, _, s = xgcd(n, c)
-        if math.gcd(g, d) > 1:
-            return None
-        s = _lift_unit(n, n // g, s % (n // g))
-        c, d = g, (s * d) % n
-        if g == 1:
-            return (1, d)
-        d = min((d * t) % n for t in range(1, n, n // g) if math.gcd(n, t) == 1)
-        return (g, d)
 
     def index(self, pair):
         n = self.n
@@ -761,12 +727,3 @@ def newform_classes(n, cap=DEFAULT_LEVEL_CAP):
     space = build_space(n, cap)
     new = cuspidal_new_subspace(space)
     return decompose_into_classes(new)
-
-
-def eisenstein_charpoly(n, p):
-    """Charpoly of T_p on the weight-2 Eisenstein space at prime level N."""
-    if not is_prime(n):
-        raise ValueError("engine Eisenstein data requires prime level")
-    if n % p == 0:
-        raise ValueError("p must not divide the level")
-    return IntPoly([-(1 + p), 1])

@@ -1,4 +1,4 @@
-"""Valuations at a prime, the ramification precision function, Newton polygons.
+"""Newton polygons at a prime, and the congruence exponent read from a slope.
 
 Slopes are exact rationals and follow the root-valuation orientation: a hull
 segment from (i1, v1) to (i2, v2) with i1 < i2 contributes i2 - i1 roots of
@@ -7,32 +7,10 @@ valuation (v1 - v2) / (i2 - i1). Slopes are weakly decreasing left to right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime
-from .arith import valuation as _int_valuation
-
-INFINITY = math.inf
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """A prime power ell^n."""
-
-    ell: int
-    n: int
-
-    def __post_init__(self):
-        if not is_prime(self.ell):
-            raise ValueError(f"{self.ell} is not prime")
-        if self.n < 0:
-            raise ValueError("exponent must be >= 0")
-
-    @property
-    def value(self):
-        return self.ell**self.n
+from .arith import is_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -62,22 +40,6 @@ class NewtonPolygon:
         return None
 
 
-def val(ell, m):
-    """v_ell(m) for an integer m; INFINITY for m = 0."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if m == 0:
-        return INFINITY
-    return _int_valuation(ell, m)
-
-
-def gamma(e, n):
-    """Precision (n-1)*e + 1 matching a mod-ell^n congruence at ramification e."""
-    if e < 1 or n < 1:
-        raise ValueError("gamma needs e >= 1 and n >= 1")
-    return (n - 1) * e + 1
-
-
 def newton_polygon(ell, poly):
     """Newton polygon of a nonzero integer polynomial at the prime ell.
 
@@ -87,7 +49,7 @@ def newton_polygon(ell, poly):
         raise ValueError("Newton polygon of the zero polynomial")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    points = [(i, _int_valuation(ell, c)) for i, c in enumerate(poly.coeffs) if c != 0]
+    points = [(i, valuation(ell, c)) for i, c in enumerate(poly.coeffs) if c != 0]
     infinite = points[0][0]  # order of vanishing at 0
     hull = []
     for pt in points:

@@ -14,8 +14,6 @@ from .arith import factorize, index_gamma0, is_prime, primes_upto, valuation
 from .congruence import NotCoprimeError, PreconditionError, congruence_number
 from .hecke_io import ComparisonRecord, PerPrimeDetail, options_hash
 from .intpoly import IntPoly
-from .modsym import eisenstein_charpoly
-from .padic import val
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,7 @@ def eisenstein_scan(f, prime_cutoff_override=None):
         )
     records = {}
     for p in good:
-        rec = _record(f.class_charpoly(p), eisenstein_charpoly(n, p))
+        rec = _record(f.class_charpoly(p), IntPoly([-(1 + p), 1]))
         if rec is not None:
             records[p] = rec
     combined = modified_gcd_combine(sorted((p, rec.c) for p, rec in records.items()))
@@ -310,12 +308,3 @@ def level_raising_check(f, p, ell):
     return LevelRaisingResult(
         p, ell, minus.c, plus.c, minus.exponent(ell)[0], plus.exponent(ell)[0]
     )
-
-
-def oldspace_evaluation_valuation(p_poly, r, delta, p, k, t, ell):
-    """Diagnostic v_ell of the old-space charpoly evaluated at an integer t.
-
-    Not folded into any bound; exposes the direct-evaluation refinement.
-    """
-    value = oldspace_charpoly(p_poly, r, delta, p, k)(t)
-    return val(ell, value)

@@ -9,7 +9,6 @@ from congruon.arith import (
     euler_phi,
     factorize,
     index_gamma0,
-    inverse_mod,
     is_prime,
     prime_divisors,
     primes_upto,
@@ -23,12 +22,6 @@ def test_xgcd_identity(a, b):
     g, x, y = xgcd(a, b)
     assert g == math.gcd(a, b)
     assert a * x + b * y == g
-
-
-@given(st.integers(2, 10**6), st.integers(1, 10**6))
-def test_inverse_mod(n, a):
-    if math.gcd(a, n) == 1:
-        assert a * inverse_mod(a, n) % n == 1
 
 
 def test_is_prime_matches_sympy():

@@ -89,6 +89,13 @@ def test_congpoly_with_ell(runner):
     assert ells == ["ell=2", "ell=3"]
 
 
+def test_congpoly_ell_and_all_ell_are_alternatives(runner):
+    r = _run(runner, ["congpoly", "12,1", "-60,1", "--ell", "7", "--all-ell"])
+    assert r.exit_code == 2
+    assert r.stderr == "error: --ell and --all-ell are alternatives; pass one\n"
+    assert r.stdout == ""
+
+
 def test_congpoly_pretty(runner):
     r = _run(runner, ["congpoly", "12,1", "-60,1", "--pretty"])
     assert r.exit_code == 0
@@ -313,6 +320,26 @@ def test_congforms_missing_charpoly(runner, tmp_path):
     )
     assert r.exit_code == 5
     assert r.stderr == "error: charpoly for p=3 not available on class f\n"
+
+
+@pytest.mark.parametrize(
+    "form, coeffs, extra",
+    [
+        pytest.param("level=0 weight=2 degree=1", "1,1", [], id="level"),
+        pytest.param("level=11 weight=0 degree=1", "1,1", ["--assert-irred"], id="weight"),
+        pytest.param("level=11 weight=2 degree=0", "1", [], id="degree"),
+    ],
+)
+def test_congforms_dataset_value_below_one(runner, tmp_path, form, coeffs, extra):
+    path = tmp_path / "d.txt"
+    path.write_text(
+        "FORM id=f level=11 weight=2 degree=1\nCP id=f p=2 coeffs=2,1\n"
+        f"FORM id=g {form}\nCP id=g p=2 coeffs={coeffs}\n"
+    )
+    r = _run(runner, ["congforms", "--f", f"{path}#f", "--g", f"{path}#g", *extra])
+    assert r.exit_code == 2
+    field = next(kv for kv in form.split() if kv.endswith("=0"))
+    assert r.stderr == f"error: {field} is below 1 at line 3\n"
 
 
 def test_congforms_weight_precondition(runner, tmp_path, dataset71):

@@ -1,6 +1,5 @@
 import ast
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,14 +12,11 @@ from congruon.congruence import (
     NotCoprimeError,
     PreconditionError,
     _from_power_sums,
-    bounds_via_congruence_number,
     common_root_mod_ell,
     congruence_number,
     difference_root_poly,
-    exact_exponent_newton,
-    solve_problem_2_4,
 )
-from congruon.intpoly import IntPoly, gcd_over_q, resultant
+from congruon.intpoly import IntPoly, gcd_over_q
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "congruon"
 
@@ -38,7 +34,11 @@ def test_congruence_number_divides_resultant():
     for _ in range(50):
         p = IntPoly([rng.randrange(-20, 20) for _ in range(rng.randrange(1, 4))] + [1])
         q = IntPoly([rng.randrange(-20, 20) for _ in range(rng.randrange(1, 4))] + [1])
-        r = resultant(p, q)
+        r = int(
+            sympy.resultant(
+                sympy.Poly(p.coeffs[::-1], sx), sympy.Poly(q.coeffs[::-1], sx)
+            )
+        )
         if r == 0:
             continue
         res = congruence_number(p, q)
@@ -69,7 +69,7 @@ def test_not_coprime_raises():
     with pytest.raises(NotCoprimeError):
         congruence_number(shared * IntPoly([2, 1]), shared * IntPoly([3, 1]))
     with pytest.raises(NotCoprimeError):
-        solve_problem_2_4(shared, shared * IntPoly([5, 1]), 3)
+        congruence_number(shared, shared * IntPoly([5, 1])).exponent(3)
 
 
 def test_non_monic_input_rejected():
@@ -77,7 +77,7 @@ def test_non_monic_input_rejected():
     with pytest.raises(PreconditionError, match="monic"):
         congruence_number(p, q)
     with pytest.raises(PreconditionError, match="monic"):
-        solve_problem_2_4(q, IntPoly([1, 1]), 3)
+        congruence_number(q, IntPoly([1, 1])).exponent(3)
 
 
 def test_common_root_mod_ell():
@@ -226,15 +226,14 @@ def test_oracle_suite_split_polynomials():
         q_roots = [rng.randrange(-200, 201) for _ in range(dq)]
         if set(p_roots) & set(q_roots):
             continue
-        p = IntPoly.from_roots(p_roots)
-        q = IntPoly.from_roots(q_roots)
+        rec = congruence_number(IntPoly.from_roots(p_roots), IntPoly.from_roots(q_roots))
         for ell in (2, 3, 5):
             want = _oracle_exponent(p_roots, q_roots, ell)
-            got, method = solve_problem_2_4(p, q, ell)
+            got, method = rec.exponent(ell)
             assert got == want, (p_roots, q_roots, ell, got, want, method)
-            b = bounds_via_congruence_number(p, q, ell)
+            b = rec.bounds(ell)
             assert b.lower <= want <= b.upper, (p_roots, q_roots, ell, b)
-            assert exact_exponent_newton(p, q, ell) == want
+            assert rec._newton_exponent(ell) == want
         checked += 1
 
 
@@ -244,8 +243,9 @@ def test_newton_route_handles_ramified_differences():
     p = IntPoly([-2, 0, 1])
     q = IntPoly([-18, 0, 1])  # roots +-3*sqrt(2); differences 2sqrt2, 4sqrt2
     # v_2(4*sqrt(2)) = 2.5 -> exponent ceil = 3; v_2(2 sqrt 2) = 1.5
-    assert exact_exponent_newton(p, q, 2) == 3
-    n, _ = solve_problem_2_4(p, q, 2)
+    rec = congruence_number(p, q)
+    assert rec._newton_exponent(2) == 3
+    n, _ = rec.exponent(2)
     assert n == 3
 
 
@@ -253,18 +253,20 @@ def test_solve_with_repeated_factors():
     # (X-1)^2 vs (X-9): difference 8 at ell=2 gives exponent 3
     p = IntPoly.from_roots([1, 1])
     q = IntPoly.from_roots([9])
-    n, method = solve_problem_2_4(p, q, 2)
+    rec = congruence_number(p, q)
+    n, method = rec.exponent(2)
     assert n == 3
-    b = bounds_via_congruence_number(p, q, 2)
+    b = rec.bounds(2)
     assert b.case_tag == "factored"
     assert b.lower <= 3 <= b.upper
 
 
 def test_bounds_cases_reachable():
     # case a: no congruence at 7
-    assert bounds_via_congruence_number(IntPoly([12, 1]), IntPoly([-60, 1]), 7).case_tag == "a"
+    rec = congruence_number(IntPoly([12, 1]), IntPoly([-60, 1]))
+    assert rec.bounds(7).case_tag == "a"
     # case b: exponent one
-    b = bounds_via_congruence_number(IntPoly([12, 1]), IntPoly([-60, 1]), 3)
+    b = rec.bounds(3)
     assert (b.lower, b.upper) == (2, 2)  # 72 = 2^3 * 3^2, linear: squarefree mod 3
-    b2 = bounds_via_congruence_number(IntPoly([1, 1]), IntPoly([-2, 1]), 3)
+    b2 = congruence_number(IntPoly([1, 1]), IntPoly([-2, 1])).bounds(3)
     assert (b2.lower, b2.upper, b2.case_tag) == (1, 1, "b")

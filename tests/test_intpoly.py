@@ -1,5 +1,3 @@
-import math
-
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -9,13 +7,10 @@ from sympy.abc import x as sx
 from congruon.intpoly import (
     FactorizationCapError,
     IntPoly,
-    det_bareiss,
-    discriminant,
     divides,
     factor_over_z,
     gcd_over_q,
     hnf_with_transform,
-    resultant,
     sylvester_matrix,
 )
 from congruon.linalg import mat_mul
@@ -70,34 +65,6 @@ def test_divmod_exact(a, b):
 
 @given(small_coeffs, small_coeffs)
 @settings(max_examples=60)
-def test_resultant_matches_sympy(a, b):
-    p, q = IntPoly(a), IntPoly(b)
-    if p.is_zero or q.is_zero:
-        return
-    # sympy's resultant can differ in sign from the Sylvester determinant
-    assert abs(resultant(p, q)) == abs(int(sympy.resultant(to_sympy(p), to_sympy(q))))
-
-
-def test_resultant_sign_product_formula():
-    # Res(P, Q) = lc(P)^deg(Q) * prod Q(alpha) over the roots of P
-    import random
-
-    rng = random.Random(3)
-    for _ in range(40):
-        pr = [rng.randrange(-8, 8) for _ in range(rng.randrange(1, 4))]
-        qr = [rng.randrange(-8, 8) for _ in range(rng.randrange(1, 4))]
-        p, q = IntPoly.from_roots(pr), IntPoly.from_roots(qr)
-        assert resultant(p, q) == math.prod(q(a) for a in pr)
-
-
-def test_resultant_known():
-    assert resultant(IntPoly([12, 1]), IntPoly([-60, 1])) == -72
-    assert discriminant(IntPoly([-2, 0, 1])) == 8
-    assert discriminant(IntPoly([1, 1, 1])) == -3
-
-
-@given(small_coeffs, small_coeffs)
-@settings(max_examples=60)
 def test_gcd_matches_sympy(a, b):
     p, q = IntPoly(a), IntPoly(b)
     if p.is_zero and q.is_zero:
@@ -112,7 +79,7 @@ def test_sylvester_layout():
     p, q = IntPoly([2, 1]), IntPoly([3, 0, 1])  # X+2, X^2+3
     s = sylvester_matrix(p, q)
     assert s == ((1, 2, 0), (0, 1, 2), (1, 0, 3))
-    assert det_bareiss(s) == int(sympy.resultant(to_sympy(p), to_sympy(q)))
+    assert sympy.Matrix(s).det() == sympy.resultant(to_sympy(p), to_sympy(q))
 
 
 matrix_strategy = st.integers(1, 4).flatmap(
@@ -127,7 +94,7 @@ matrix_strategy = st.integers(1, 4).flatmap(
 def test_hnf_properties(rows):
     h, b = hnf_with_transform(rows)
     assert mat_mul(b, rows) == h
-    assert abs(det_bareiss(b)) == 1
+    assert abs(sympy.Matrix(b).det()) == 1
     # row echelon with positive pivots and reduced entries above them
     last = -1
     for row in h:

@@ -1,45 +1,10 @@
-import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from congruon.intpoly import IntPoly
-from congruon.padic import (
-    INFINITY,
-    PrimePower,
-    exponent_from_slope,
-    gamma,
-    newton_polygon,
-    val,
-)
-
-
-def test_val():
-    assert val(2, 72) == 3
-    assert val(3, 72) == 2
-    assert val(5, 72) == 0
-    assert val(7, 0) == INFINITY
-    with pytest.raises(ValueError):
-        val(4, 8)
-
-
-def test_gamma_values():
-    assert gamma(1, 5) == 5
-    assert gamma(3, 1) == 1
-    assert gamma(2, 3) == 5
-
-
-@given(st.integers(1, 50), st.integers(1, 50), st.integers(1, 20))
-def test_gamma_multiplicative(e1, e2, n):
-    assert gamma(e1 * e2, n) == gamma(e2, gamma(e1, n))
-
-
-def test_prime_power():
-    assert PrimePower(3, 2).value == 9
-    with pytest.raises(ValueError):
-        PrimePower(6, 1)
+from congruon.padic import exponent_from_slope, newton_polygon
 
 
 def _hull_oracle(points):

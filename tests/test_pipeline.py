@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from congruon.arith import valuation
@@ -19,7 +19,6 @@ from congruon.pipeline import (
     level_raising_check,
     modified_gcd_combine,
     oldspace_charpoly,
-    oldspace_evaluation_valuation,
     sturm_bound,
 )
 
@@ -94,12 +93,6 @@ def test_oldspace_charpoly_identities():
 def test_oldspace_charpoly_example():
     # d=1, r=2, delta=1, k=2, p=2, P=X-1 -> X^3 - X^2 + 2X
     assert oldspace_charpoly(IntPoly([-1, 1]), 2, 1, 2, 2) == IntPoly([0, 2, -1, 1])
-
-
-def test_oldspace_evaluation_diagnostic():
-    v = oldspace_evaluation_valuation(IntPoly([-1, 1]), 2, 1, 2, 2, 1, 2)
-    # P~(1) = 1 - 1 + 2 = 2
-    assert v == 1
 
 
 def _table1_pair(level):
@@ -214,11 +207,11 @@ def test_level_raising_17_59():
     assert (r.c_minus, r.c_plus) == (72, 48)
     assert (r.e_minus, r.e_plus) == (2, 1)
     # consistency with the combined quadratic comparison
-    from congruon.congruence import solve_problem_2_4
+    from congruon.congruence import congruence_number
 
-    combined, _ = solve_problem_2_4(
-        cls.class_charpoly(59), IntPoly([-(60 * 60), 0, 1]), 3
-    )
+    combined, _ = congruence_number(
+        cls.class_charpoly(59), IntPoly([-(60 * 60), 0, 1])
+    ).exponent(3)
     assert combined == max(r.e_minus, r.e_plus)
 
 

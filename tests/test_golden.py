@@ -14,6 +14,13 @@ with:
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; open(g.GOLDEN_HIGH, 'w').write(g.golden_text(g.HIGH_LEVELS))"
 
+`golden/charpolys_mid.txt` holds the same for every level 121-160 but 155
+(already in `charpolys.txt`), the composite levels the bench draws.
+Regenerate it with:
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+import test_golden as g; open(g.GOLDEN_MID, 'w').write(g.golden_text(g.MID_LEVELS))"
+
 `golden/congpoly.txt` holds the solver's `congpoly P Q --all-ell` output, each
 run under a `$ ` line with its arguments, for the seeded planted pairs of
 `congpoly_runs` (some also with `--pretty`). Regenerate it with:
@@ -38,6 +45,8 @@ GOLDEN = Path(__file__).parent / "golden" / "charpolys.txt"
 LEVELS = [*range(11, 121), 155, 233]
 GOLDEN_HIGH = Path(__file__).parent / "golden" / "charpolys_high.txt"
 HIGH_LEVELS = [301, 389]
+GOLDEN_MID = Path(__file__).parent / "golden" / "charpolys_mid.txt"
+MID_LEVELS = [n for n in range(121, 161) if n != 155]
 GOLDEN_CONGPOLY = Path(__file__).parent / "golden" / "congpoly.txt"
 CONGPOLY_SEED = 20091
 CLUSTER_PRIMES = (2, 3, 5, 7)
@@ -135,6 +144,10 @@ def test_engine_reproduces_golden_charpolys():
 
 def test_engine_reproduces_golden_charpolys_high_levels():
     assert golden_text(HIGH_LEVELS) == GOLDEN_HIGH.read_text()
+
+
+def test_engine_reproduces_golden_charpolys_mid_levels():
+    assert golden_text(MID_LEVELS) == GOLDEN_MID.read_text()
 
 
 def test_solver_reproduces_golden_congpoly():

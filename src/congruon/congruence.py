@@ -9,7 +9,7 @@ int, so the second route costs O((deg P * deg Q)^2) integer operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 from .arith import CongruonError, is_prime, valuation
@@ -108,9 +108,7 @@ class CongruenceNumberResult:
         """Records of the irreducible factor pairs, or None when neither
         input has a repeated factor over Q."""
         p, q = self.p, self.q
-        p_rep = p.degree > 0 and gcd_over_q(p, p.derivative()).degree > 0
-        q_rep = q.degree > 0 and gcd_over_q(q, q.derivative()).degree > 0
-        if not (p_rep or q_rep):
+        if not (_has_repeated_factor(p) or _has_repeated_factor(q)):
             return None
         q_factors = [qf for qf, _ in factor_over_z(q)]
         return [
@@ -122,6 +120,13 @@ class CongruenceNumberResult:
         f = difference_root_poly(self.p, self.q)
         assert f[0] != 0, "coprime inputs must give F(0) != 0"
         return f
+
+
+@lru_cache(maxsize=1024)
+def _has_repeated_factor(poly):
+    """True iff poly has a repeated factor over Q. Cached, since the records
+    of all pairs at one level share each class's P_{f,p}."""
+    return poly.degree > 0 and gcd_over_q(poly, poly.derivative()).degree > 0
 
 
 @dataclass(frozen=True)

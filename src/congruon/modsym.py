@@ -2,17 +2,21 @@
 subspace, and its decomposition into Galois conjugacy classes.
 
 Manin symbols are indexed by P^1(Z/NZ), whose lookup table is written one
-unit orbit per representative; the space is the quotient by the two-term
-(x + xS = 0) and three-term (x + xU + xU^2 = 0) relations, with
-S: (c:d) -> (d:-c) and U: (c:d) -> (d:-c-d), the three-term ones put in
-reduced echelon form by sparse elimination. Everything is exact and integers
-first (see `linalg`): presentation columns are sparse, Hecke matrices are
-summed in int over Heilbronn matrices (Cremona's for an odd prime p not
-dividing N, Merel's otherwise), and a subspace is held as its reduced
-echelon basis over one common denominator. Characteristic polynomials come
-out integral.
-Classes are split on the fixed part of the star involution, which holds
-each newform once, so a class's T_p charpoly there is its class charpoly.
+unit orbit per representative. The space is the plus quotient
+V+ = V / (1 - sigma) V of the full space V by the star involution
+sigma: (c:d) -> (-c:d) (Cremona, Algorithms for Modular Elliptic Curves,
+ch. 2; Stein, GSM 79, the sign quotient): the quotient by the two-term
+(x + xS = 0), plus (x = x sigma) and three-term (x + xU + xU^2 = 0)
+relations, with S: (c:d) -> (d:-c) and U: (c:d) -> (d:-c-d), the three-term
+ones put in reduced echelon form by sparse elimination. V+ is Hecke
+isomorphic to the sigma-fixed part of V, holds each newform once and has
+dimension g - 1 + sum over d | N of ceil(phi(gcd(d, N/d)) / 2), g the genus
+of X0(N); so a class of degree d has dimension d and its T_p charpoly is
+its class charpoly. Everything is exact and integers first (see `linalg`):
+presentation columns are sparse, Hecke matrices are summed in int over
+Heilbronn matrices (Cremona's for an odd prime p not dividing N, Merel's
+otherwise), and a subspace is held as its reduced echelon basis over one
+common denominator. Characteristic polynomials come out integral.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ DEFAULT_LEVEL_CAP = 300
 # Splitting primes cap for conjugacy-class separation.
 MAX_SPLIT_PRIME = 50
 
-# A class is declared separated once its charpoly on the star-fixed part at
-# some prime here is irreducible.
+# A class is declared separated once its charpoly at some prime here is
+# irreducible.
 MAX_WITNESS_PRIME = 13
 
 
@@ -277,20 +281,26 @@ class ModSymSpace:
         self.p1 = P1(n)
         npts = len(self.p1)
 
-        # Two-term relations: x_{iS} = -x_i. Pair indices into signed orbits.
-        s_img = [self.p1.index((d, -c)) for c, d in self.p1]
-        var_of = [None] * npts  # index -> (reduced var, sign) or None if forced 0
+        # Two-term relations x_{iS} = -x_i and the plus relations
+        # x_{i sigma} = x_i, sigma: (c:d) -> (-c:d): each orbit of the Klein
+        # group {1, S, sigma, S sigma} becomes one signed variable, or is 0
+        # when some point in it gets both signs.
+        var_of = [None] * npts  # index -> (reduced var, sign) or None if 0
         reps = []  # reps[k] = P^1 index carrying reduced variable k
-        for i in range(npts):
-            j = s_img[i]
-            if j == i:
-                var_of[i] = None  # 2x = 0
-            elif j > i:
-                var_of[i] = (len(reps), 1)
-                reps.append(i)
+        seen = bytearray(npts)
+        for i, (c, d) in enumerate(self.p1):
+            if seen[i]:
+                continue
+            orbit = {}
+            for pair, sgn in (((c, d), 1), ((d, -c), -1), ((-c, d), 1), ((d, c), -1)):
+                j = self.p1.index(pair)
+                seen[j] = 1
+                if orbit.setdefault(j, sgn) != sgn:
+                    break
             else:
-                k, sgn = var_of[j]
-                var_of[i] = (k, -sgn)
+                for j, sgn in orbit.items():
+                    var_of[j] = (len(reps), sgn)
+                reps.append(i)
         nvars = len(reps)
 
         # Three-term relations x + xU + xU^2 = 0 in the reduced variables,
@@ -336,9 +346,10 @@ class ModSymSpace:
                 k, sgn = var_of[i]
                 self._columns.append(tuple((pos, sgn * x) for pos, x in expr[k]))
 
-        # Consistency: the dimension matches the Eichler-Shimura count.
-        b, nu2, nu3, nu_inf = _cusp_invariants(n)
-        assert self.dimension == 2 * genus_x0(n) + nu_inf - 1
+        # Consistency: the dimension is g + (cusp orbits of sigma) - 1, the
+        # cusps of denominator d being (Z/gcd(d, N/d))^* up to sign.
+        orbits = sum((euler_phi(math.gcd(d, n // d)) + 1) // 2 for d in divisors(n))
+        assert self.dimension == genus_x0(n) + orbits - 1
 
         self._hecke_cache = {}
         self._cusp_list = None
@@ -360,7 +371,7 @@ class ModSymSpace:
     # -- Hecke action -------------------------------------------------------
 
     def _action_sum(self, matrices):
-        """Matrix on the full space of the sum of the right actions of
+        """Matrix on the space of the sum of the right actions of
         integer 2x2 matrices (a, b, c, d): (u:v) -> (ua + vc : ub + vd).
 
         The image of each generator under each matrix is added straight
@@ -381,7 +392,7 @@ class ModSymSpace:
         return [list(row) for row in zip(*images)]
 
     def hecke_matrix(self, p):
-        """Matrix of T_p (U_p when p | N) on the full space, summed over
+        """Matrix of T_p (U_p when p | N) on the plus space, summed over
         Cremona's matrices of determinant p for an odd prime p not dividing
         N and over Merel's otherwise."""
         if p not in self._hecke_cache:
@@ -392,23 +403,20 @@ class ModSymSpace:
             self._hecke_cache[p] = self._action_sum(matrices)
         return self._hecke_cache[p]
 
-    def star_matrix(self):
-        """Matrix of the star involution (c:d) -> (-c:d) on the full space,
-        the plain action of (-1, 0, 0, 1). Stein (GSM 79) writes it as
-        iota*[c:d] = -[-c:d], whose -1 eigenspace is the fixed part here."""
-        return self._action_sum([(-1, 0, 0, 1)])
-
     # -- cusps and boundary -------------------------------------------------
 
     def boundary_data(self):
-        """(cusp list, boundary matrix of shape #cusps x dimension)."""
+        """(cusp list, boundary matrix of shape #cusps x dimension); the
+        column of generator (c:d) is delta(c:d) + delta(-c:d), so its kernel
+        is the cuspidal part."""
         if self._boundary is not None:
             return self._cusp_list, self._boundary
         cusps = _CuspList(self.n)
         entries = []
         for col, (c, d) in enumerate(self.generator_symbols()):
-            a, b, cc, dd = lift_to_sl2z(c, d, self.n)
-            entries.append((cusps.index((a, cc)), cusps.index((b, dd)), col))
+            for sc in (c, -c):
+                a, b, cc, dd = lift_to_sl2z(sc, d, self.n)
+                entries.append((cusps.index((a, cc)), cusps.index((b, dd)), col))
         mat = [[0] * self.dimension for _ in range(len(cusps))]
         for i_plus, i_minus, col in entries:
             mat[i_plus][col] += 1
@@ -622,25 +630,18 @@ def _is_witness(piece, p):
 
 
 def decompose_into_classes(sub):
-    """Split a Hecke-stable subspace (the cuspidal new subspace) into Galois
-    conjugacy classes.
+    """Split a Hecke-stable subspace (the cuspidal new subspace) of the plus
+    quotient, which holds each class once, into Galois conjugacy classes.
 
-    First the fixed part of the star involution inside sub is cut out (see
-    `ModSymSpace.star_matrix`); it holds each class once. Splitting then
-    factors the charpoly of T_p on it for successive primes p not dividing
-    the level and cuts kernels of the factors; a piece is final once its
-    charpoly at some prime <= 13 is irreducible. Classes get deterministic
-    ids level.weight.a, .b, ...
+    Splitting factors the charpoly of T_p on sub for successive primes p not
+    dividing the level and cuts kernels of the factors; a piece is final
+    once its charpoly at some prime <= 13 is irreducible. Classes get
+    deterministic ids level.weight.a, .b, ...
     """
-    space = sub.space
-    n = space.n
+    n = sub.space.n
     if sub.dimension == 0:
         return []
-    star = restrict_operator(space.star_matrix(), sub.echelon)
-    for i, row in enumerate(star):
-        row[i] -= 1
-    plus = _kernel_subspace(sub, star)
-    pieces = [(plus, False, False)]  # (subspace, separated, capped)
+    pieces = [(sub, False, False)]  # (subspace, separated, capped)
     split_primes = [p for p in primes_upto(MAX_SPLIT_PRIME) if n % p != 0]
     for p in split_primes:
         if all(done or capped for _, done, capped in pieces):

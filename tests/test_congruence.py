@@ -6,12 +6,14 @@ import pytest
 import sympy
 from sympy.abc import x as sx, y as sy
 
+import congruon.congruence
 from congruon.arith import valuation
 from congruon.congruence import (
     CongruenceNumberResult,
     NotCoprimeError,
     PreconditionError,
     _from_power_sums,
+    _has_repeated_factor,
     common_root_mod_ell,
     congruence_number,
     difference_root_poly,
@@ -259,6 +261,29 @@ def test_solve_with_repeated_factors():
     b = rec.bounds(2)
     assert b.case_tag == "factored"
     assert b.lower <= 3 <= b.upper
+
+
+def test_repeated_factor_test_runs_once_per_polynomial(monkeypatch):
+    """The records of all pairs at a level share each P; the repeated-factor
+    test (gcd(P, P')) runs once per distinct polynomial, not per record, and
+    still routes a square through the factored case."""
+    calls = []
+
+    def counted_gcd(a, b):
+        calls.append(a)
+        return gcd_over_q(a, b)
+
+    monkeypatch.setattr(congruon.congruence, "gcd_over_q", counted_gcd)
+    _has_repeated_factor.cache_clear()
+    polys = [IntPoly.from_roots(r) for r in ([1, 1], [3], [5, -2], [7, 7, 2])]
+    for ell in (2, 3):
+        for p in polys:
+            for q in polys:
+                if p != q:
+                    congruence_number(p, q).bounds(ell)
+    assert sorted(map(str, calls)) == sorted(map(str, polys))
+    square = congruence_number(polys[0], polys[1]).bounds(2)
+    assert square.case_tag == "factored"
 
 
 def test_bounds_cases_reachable():

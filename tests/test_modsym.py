@@ -12,7 +12,6 @@ from congruon.linalg import (
     charpoly,
     mat_mul,
     mat_vec,
-    nullspace,
     restrict_operator,
 )
 from congruon.modsym import (
@@ -48,6 +47,13 @@ def _prime_factors(m):
     return out
 
 
+def _phi(m):
+    r = m
+    for p in _prime_factors(m):
+        r = r // p * (p - 1)
+    return r
+
+
 def _oracle_invariants(n):
     fac = _prime_factors(n)
     index = n
@@ -59,16 +65,10 @@ def _oracle_invariants(n):
     nu3 = 0 if n % 9 == 0 else math.prod(
         1 + {1: 1, 2: -1}[p % 3] for p in fac if p != 3
     )
-    def phi(m):
-        r = m
-        for p in _prime_factors(m):
-            r = r // p * (p - 1)
-        return r
-
     cusps = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            cusps += phi(math.gcd(d, n // d))
+            cusps += _phi(math.gcd(d, n // d))
     genus = Fraction(12 + index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
     assert genus.denominator == 1
     return index, int(genus), cusps
@@ -162,9 +162,10 @@ def test_p1_table_agrees_with_reduce():
 
 
 def test_presentation_satisfies_relations():
-    """Each Manin symbol's column satisfies x_i + x_iS = 0 and
-    x_i + x_iU + x_iU^2 = 0 exactly, and each free generator's column is
-    its unit vector."""
+    """Each Manin symbol's column satisfies x_i + x_iS = 0,
+    x_i + x_iU + x_iU^2 = 0 and the plus relation x_(-c:d) = x_(c:d)
+    exactly, and each free generator's column is its unit vector. The plus
+    quotient halves the space: 33 at level 389, where the full space has 65."""
     for n in range(1, 121):
         space = ModSymSpace(n)
         p1 = space.p1
@@ -182,8 +183,10 @@ def test_presentation_satisfies_relations():
             assert all(type(v) is int for v in x), n
             assert [a + b for a, b in zip(x, xs)] == zero, (n, pair)
             assert [a + b + c for a, b, c in zip(x, xu, xuu)] == zero, (n, pair)
+            assert col[p1[p1.index((-pair[0], pair[1]))]] == x, (n, pair)
         for k, pair in enumerate(space.generator_symbols()):
             assert col[pair] == [int(j == k) for j in range(space.dimension)]
+    assert ModSymSpace(389).dimension == 33
 
 
 def test_cremona_set_determinant_and_size():
@@ -225,12 +228,18 @@ def test_lift_to_sl2z():
             assert (cc - c) % n == 0 and (dd - d) % n == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 11, 22, 37, 48, 71])
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 22, 25, 37, 48, 49, 64, 71])
 def test_dimensions_match_oracle(n):
+    """The plus quotient has dimension g - 1 + (cusps up to sign): the cusps
+    of denominator d are (Z/gcd(d, N/d))^*, on which the star acts as -1.
+    Its cuspidal part has dimension g."""
     index, genus, cusps = _oracle_invariants(n)
+    orbits = sum(
+        (_phi(math.gcd(d, n // d)) + 1) // 2 for d in range(1, n + 1) if n % d == 0
+    )
     space = build_space(n)
-    assert space.dimension == 2 * genus + cusps - 1
-    assert cuspidal_subspace(space).dimension == 2 * genus
+    assert space.dimension == genus + orbits - 1
+    assert cuspidal_subspace(space).dimension == genus
 
 
 def test_cusp_count_matches_oracle():
@@ -240,19 +249,26 @@ def test_cusp_count_matches_oracle():
         assert len(cusps) == _oracle_invariants(n)[2]
 
 
+def _a_p(ainvs, p):
+    """p + 1 - #E(F_p) for E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6,
+    by counting points (an independent oracle for T_p at good primes)."""
+    a1, a2, a3, a4, a6 = ainvs
+    affine = sum(
+        (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p == 0
+        for x in range(p)
+        for y in range(p)
+    )
+    return p - affine
+
+
 def test_level_11_hecke_eigenvalues():
     # independent oracle: point counts on y^2 + y = x^3 - x^2 - 10x - 20
     def a_p(p):
-        count = 0
-        for x in range(p):
-            for y in range(p):
-                if (y * y + y - (x**3 - x**2 - 10 * x - 20)) % p == 0:
-                    count += 1
-        return p + 1 - (count + 1)
+        return _a_p([0, -1, 1, -10, -20], p)
 
     cusp = cuspidal_subspace(build_space(11))
-    assert cusp.hecke_charpoly(2) == IntPoly([-a_p(2), 1]) ** 2
-    assert cusp.hecke_charpoly(3) == IntPoly([-a_p(3), 1]) ** 2
+    assert cusp.hecke_charpoly(2) == IntPoly([-a_p(2), 1])
+    assert cusp.hecke_charpoly(3) == IntPoly([-a_p(3), 1])
     assert a_p(2) == -2 and a_p(3) == -1
 
 
@@ -275,11 +291,11 @@ def test_full_space_hecke_matrices_are_int():
             assert all(type(x) is int for row in space.hecke_matrix(p) for x in row)
 
 
-@pytest.mark.parametrize("n", [90, 114, 130, 135])
+@pytest.mark.parametrize("n", [90, 110, 114, 130, 135, 145, 155])
 def test_hecke_commutativity_on_new_subspace(n):
     new = cuspidal_new_subspace(build_space(n))
-    if n != 90:
-        # echelon denominators 2, 5 and 4, so restriction divides by them
+    if n in (110, 135, 145, 155):
+        # echelon denominators 2, 2, 2 and 6, so restriction divides by them
         assert new.echelon.denom > 1
     primes = [p for p in (2, 3, 5, 7, 11) if n % p]
     mats = {p: new.hecke_matrix(p) for p in primes}
@@ -290,46 +306,58 @@ def test_hecke_commutativity_on_new_subspace(n):
 
 @pytest.mark.parametrize("n", [11, 37, 90, 135])
 def test_star_involution(n):
-    """star^2 = 1 on the full space; on the new subspace the star commutes
-    with T_2 and T_3 (U_p where p | N), and its fixed part has half the
-    dimension, one copy of each newform."""
+    """The star (c:d) -> (-c:d) is the identity on the plus quotient, and
+    T_2 and T_3 (U_p where p | N), summed over Merel's matrices at every
+    Manin symbol, respect it, so they are well defined there; the generator
+    images are the columns of hecke_matrix. The new subspace holds each
+    newform once."""
     space = build_space(n)
-    star = space.star_matrix()
-    dim = space.dimension
-    assert mat_mul(star, star) == [[int(i == j) for j in range(dim)] for i in range(dim)]
-    new = cuspidal_new_subspace(space)
-    s = restrict_operator(star, new.echelon)
+    p1 = space.p1
     for p in (2, 3):
-        t = new.hecke_matrix(p)
-        assert mat_mul(s, t) == mat_mul(t, s)
-    for i, row in enumerate(s):
-        row[i] -= 1
-    assert 2 * len(nullspace(s, new.dimension)) == new.dimension
+        mats = list(merel_matrices(p))
+
+        def image(pair):
+            total = [0] * space.dimension
+            for a, b, c, d in mats:
+                u, v = pair[0] * a + pair[1] * c, pair[0] * b + pair[1] * d
+                if math.gcd(math.gcd(u, v), n) == 1:
+                    total = [x + y for x, y in zip(total, space.symbol_vector((u, v)))]
+            return total
+
+        for c, d in p1:
+            assert space.symbol_vector((-c, d)) == space.symbol_vector((c, d))
+            assert image((-c, d)) == image((c, d)), (n, p, (c, d))
+        columns = [image(g) for g in space.generator_symbols()]
+        assert [list(col) for col in zip(*columns)] == space.hecke_matrix(p)
+    assert cuspidal_new_subspace(space).dimension == _new_dimension(n)
 
 
 def test_restriction_to_unstable_span_rejected():
     space = build_space(37)
     cusp = cuspidal_subspace(space)
-    # one vector of the cuspidal space spans no T_2-stable line here
-    line = EchelonBasis.of(cusp.echelon.rows[:1])
+    # the sum of the two eigenvectors (a_2 = -2 and 0) spans no T_2-stable line
+    v = [a + b for a, b in zip(*cusp.echelon.rows)]
+    w = mat_vec(space.hecke_matrix(2), v)
+    assert any(v[i] * w[j] != v[j] * w[i] for i in range(len(v)) for j in range(i))
     with pytest.raises(ValueError):
-        restrict_operator(space.hecke_matrix(2), line)
+        restrict_operator(space.hecke_matrix(2), EchelonBasis.of([v]))
     with pytest.raises(ValueError):
-        Subspace(space, cusp.echelon.rows[:1], "line")
+        Subspace(space, [v], "line")
 
 
 def test_path_vector_boundary_consistency():
-    # boundary of {alpha, beta} must be [beta] - [alpha] as cusp classes
+    # boundary of {alpha, beta} + {-alpha, -beta} must be
+    # [beta] - [alpha] + [-beta] - [-alpha] as cusp classes
     for n in (11, 14, 24):
         space = build_space(n)
         cusps, boundary = space.boundary_data()
         for alpha, beta in [((0, 1), (1, 0)), ((1, 2), (1, 3)), ((2, 5), (0, 1))]:
             vec = space.symbol_between_cusps(alpha, beta)
             img = mat_vec(boundary, vec)
-            ib, ia = cusps.index(beta), cusps.index(alpha)
             want = [Fraction(0)] * len(cusps)
-            want[ib] += 1
-            want[ia] -= 1
+            for (num, den), sign in [(beta, 1), (alpha, -1)]:
+                want[cusps.index((num, den))] += sign
+                want[cusps.index((-num, den))] += sign
             img = img + [Fraction(0)] * (len(cusps) - len(img))
             assert img == want
 
@@ -351,21 +379,21 @@ def test_new_subspace():
             cuspidal_new_subspace(space).dimension
             == cuspidal_subspace(space).dimension
         )
-    # level 55 = 5*11: old space from 11 has dimension 2*2 (two maps)
+    # level 55 = 5*11: old space from 11 has dimension 2 (two maps)
     space55 = build_space(55)
     _, genus55, _ = _oracle_invariants(55)
-    assert cuspidal_subspace(space55).dimension == 2 * genus55
-    assert cuspidal_new_subspace(space55).dimension == 2 * genus55 - 4
+    assert cuspidal_subspace(space55).dimension == genus55
+    assert cuspidal_new_subspace(space55).dimension == genus55 - 2
 
 
 def _new_dimension(n):
-    """2 * sum over M | N of beta(N/M) g0(M), beta = mu * mu: the dimension of
-    the new modular symbols, two per newform."""
+    """sum over M | N of beta(N/M) g0(M), beta = mu * mu: the dimension of
+    the new plus modular symbols, one per newform."""
 
     def beta(m):
         return math.prod({1: -2, 2: 1}.get(e, 0) for e in _prime_factors(m).values())
 
-    return 2 * sum(
+    return sum(
         beta(n // m) * _oracle_invariants(m)[1] for m in range(1, n + 1) if n % m == 0
     )
 
@@ -387,7 +415,7 @@ def test_new_subspace_dimension_matches_oracle():
     for n in [*range(11, 121), 155, 233, 301]:
         dim = _new_dimension(n)
         assert cuspidal_new_subspace(build_space(n, cap=301)).dimension == dim, n
-        assert 2 * sum(degrees.get(n, [])) == dim, n
+        assert sum(degrees.get(n, [])) == dim, n
 
 
 def test_level_cap():
@@ -436,13 +464,13 @@ def test_class_charpoly_product_law():
             chi = new.hecke_charpoly(p)
             prod = IntPoly([1])
             for c in classes:
-                prod = prod * c.class_charpoly(p) ** 2
+                prod = prod * c.class_charpoly(p)
             assert prod == chi
 
 
 def test_level_71_export_work(monkeypatch):
     """Exporting level 71 at its Sturm primes factors one charpoly, of the
-    6-dim star-fixed part at p = 2, whose two cubic factors split it into the
+    6-dim plus new subspace at p = 2, whose two cubic factors split it into the
     classes; the charpolys taken have dimensions 6 + 2 * 4 * 3 = 30. On the
     doubled space this took 9 factorizations and a dimension sum of 60."""
     work = {"factor_over_z": 0, "charpoly_dim_sum": 0}
@@ -474,10 +502,10 @@ def test_basis_independence():
     assert [c.class_charpoly(7) for c in ca] == [c.class_charpoly(7) for c in cb]
 
 
-def test_even_trace_prime_level():
-    for n in (11, 23, 31):
-        cusp = cuspidal_subspace(build_space(n))
-        for p in (2, 3, 5, 7, 13):
-            m = cusp.hecke_matrix(p)
-            tr = sum(m[i][i] for i in range(len(m)))
-            assert tr.denominator == 1 and tr.numerator % 2 == 0
+def test_level_37_hecke_charpolys():
+    """On the cuspidal plus space at level 37 the T_p charpoly is
+    (X - a_p(37a1))(X - a_p(37b1)), from point counts on both curves."""
+    cusp = cuspidal_subspace(build_space(37))
+    for p in primes_upto(13):
+        a, b = (_a_p(e, p) for e in ([0, 0, 1, -1, 0], [0, 1, 1, -23, -50]))
+        assert cusp.hecke_charpoly(p) == IntPoly([-a, 1]) * IntPoly([-b, 1]), p

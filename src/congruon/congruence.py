@@ -2,26 +2,21 @@
 
 Two routes: the congruence-number method (exact in the favourable cases of
 the reduction criteria) and the Newton-polygon method on the root-difference
-polynomial F(Y) (always exact). F is a composed sum built from power sums in
-int, so the second route costs O((deg P * deg Q)^2) integer operations.
+polynomial F(Y) (always exact). The congruence number and its cofactors come
+from one m x m fraction-free solve in Z[X]/(M), M the input of smaller
+degree m. F is a composed sum built from power sums in int, so the second
+route costs O((deg P * deg Q)^2) integer operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, lcm
 
 from .arith import CongruonError, is_prime, valuation
-from .intpoly import (
-    IntPoly,
-    _pm_gcd,
-    _pm_trim,
-    factor_over_z,
-    gcd_over_q,
-    hnf_with_transform,
-    sylvester_matrix,
-)
+from .intpoly import IntPoly, _pm_gcd, _pm_trim, factor_over_z, gcd_over_q
+from .linalg import rref
 from .padic import exponent_from_slope, newton_polygon
 
 
@@ -147,10 +142,18 @@ class CongruenceBounds:
 
 
 def congruence_number(p, q):
-    """Congruence number c(P, Q) of monic P, Q with cofactors, via the Hermite
-    form of the Sylvester matrix: c is the bottom-right pivot, the cofactors
-    come from the bottom row of the transformation matrix. A zero pivot means
-    the Sylvester matrix is singular, that is, P and Q share a factor."""
+    """Congruence number c(P, Q) of monic P, Q with cofactors: the additive
+    order of 1 in Z[X]/(P, Q).
+
+    Let M be the input of smaller degree m (P on a tie) and A the other.
+    Column j of T is X^j * A reduced mod M, so T is multiplication by A on
+    Z[X]/(M) and its columns span the ideal (A) there. One fraction-free
+    solve T x = e_0 gives x = A^-1 mod M over Q; c is the least common
+    denominator of x, u = c*x satisfies u*A = c mod M, and w = (c - u*A)/M
+    is exact since M is monic. The cofactor pair (r, s) of r*P + s*Q = c is
+    (w, u) when M = P and (u, w) otherwise. A singular T means P and Q
+    share a factor.
+    """
     if p.is_zero or q.is_zero:
         raise ValueError("zero polynomial input")
     if not (p.is_monic and q.is_monic):
@@ -159,15 +162,26 @@ def congruence_number(p, q):
         return CongruenceNumberResult(1, IntPoly([1]), IntPoly(), p, q)
     if q.degree == 0:
         return CongruenceNumberResult(1, IntPoly(), IntPoly([1]), p, q)
-    h, b = hnf_with_transform(sylvester_matrix(p, q))
-    c = h[-1][-1]
-    if c == 0:
+    mod, other = (p, q) if p.degree <= q.degree else (q, p)
+    m = mod.degree
+    reduced = other.divmod_exact(mod)[1]
+    col = [reduced[i] for i in range(m)]
+    cols = [col]
+    for _ in range(m - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [x - top * c for x, c in zip(col, mod.coeffs)]
+        cols.append(col)
+    rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
+    red, pivots = rref(rows)
+    if pivots != list(range(m)):
         raise NotCoprimeError("not coprime: inputs share a factor; factor first")
-    assert c > 0 and not any(h[-1][:-1])
-    bottom = b[-1]
-    n, m = q.degree, p.degree
-    r = IntPoly(list(reversed(bottom[:n])))  # rows X^(n-1)P .. P
-    s = IntPoly(list(reversed(bottom[n:])))  # rows X^(m-1)Q .. Q
+    x = [row[m] for row in red]
+    c = lcm(*(v.denominator for v in x))
+    u = IntPoly([v.numerator * (c // v.denominator) for v in x])
+    w = (c - u * other).divmod_exact(mod)[0]  # the identity check verifies it
+    r, s = (w, u) if mod is p else (u, w)
     return CongruenceNumberResult(c, r, s, p, q)
 
 

@@ -1,8 +1,7 @@
-"""Exact big-integer polynomials and the integer matrices built from them.
+"""Exact big-integer polynomials and their factorization over Z.
 
 Polynomials are dense, coefficients ascending (coeffs[i] multiplies X^i).
-Matrices are sequences of rows, as in `linalg`. Everything here is pure and
-exact; no floating point is used anywhere.
+Everything here is pure and exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -233,76 +232,6 @@ def gcd_over_q(p, q):
         r = (a * b.leading ** (d + 1)).divmod_exact(b)[1]
         a, b = b, r.primitive_part()
     return a
-
-
-def sylvester_matrix(p, q):
-    """Sylvester matrix with rows X^(n-1)P..P, X^(m-1)Q..Q over X^(m+n-1)..X^0,
-    as a tuple of tuples (hashable, so equal inputs can be recognised)."""
-    if p.is_zero or q.is_zero:
-        raise ValueError("Sylvester matrix needs nonzero polynomials")
-    m, n = p.degree, q.degree
-    size = m + n
-    rows = []
-    for k in range(n - 1, -1, -1):  # row of X^k * P
-        row = [0] * size
-        for i, c in enumerate(p.coeffs):
-            row[size - 1 - (i + k)] = c
-        rows.append(tuple(row))
-    for k in range(m - 1, -1, -1):
-        row = [0] * size
-        for i, c in enumerate(q.coeffs):
-            row[size - 1 - (i + k)] = c
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def hnf_with_transform(matrix):
-    """Row Hermite normal form H with a unimodular B such that B*M = H, for
-    a matrix M of rows; H and B are lists of rows.
-
-    Pivots are positive, entries below them zero, entries above reduced into
-    [0, pivot). Row operations reduce against the current pivot at each step
-    to keep intermediate entries small.
-    """
-    m, n = len(matrix), len(matrix[0]) if matrix else 0
-    a = [list(row) for row in matrix]
-    b = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        # Euclidean elimination in column j among rows r..m-1.
-        while True:
-            nz = [i for i in range(r, m) if a[i][j] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(a[i][j]))
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                b[r], b[piv] = b[piv], b[r]
-            done = True
-            for i in range(r + 1, m):
-                if a[i][j]:
-                    q = a[i][j] // a[r][j]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                        b[i] = [x - q * y for x, y in zip(b[i], b[r])]
-                    if a[i][j]:
-                        done = False
-            if done:
-                break
-        if a[r][j] == 0:
-            continue
-        if a[r][j] < 0:
-            a[r] = [-x for x in a[r]]
-            b[r] = [-x for x in b[r]]
-        for i in range(r):
-            q = a[i][j] // a[r][j]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                b[i] = [x - q * y for x, y in zip(b[i], b[r])]
-        r += 1
-    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -485,8 +485,8 @@ class Subspace:
         self._charpolys = {}
         self._factors = {}
         if check_stability and self.dimension:
-            for p in (2, 3, 5, 7):
-                restrict_operator(space.hecke_matrix(p), self.echelon)
+            for p in (2, 3, 5, 7):  # raises unless T_p preserves the span
+                self.hecke_matrix(p)
 
     @property
     def dimension(self):

@@ -127,26 +127,26 @@ def test_congpoly_rejects_non_monic(runner):
     [("-29,1", "231,32,1", 2), ("1,2,1", "-18304,-752,732,-52,1", 0)],
 )
 def test_congpoly_computes_each_fact_once(runner, monkeypatch, p, q, np_lines):
-    """However many residue primes an --all-ell run reads, it computes one
-    HNF per distinct Sylvester matrix and at most one F(Y)."""
-    hnf_inputs, diff_inputs = [], []
-    hnf = congruon.congruence.hnf_with_transform
+    """However many residue primes an --all-ell run reads, it solves one
+    congruence-number system per distinct input and builds at most one F(Y)."""
+    solve_inputs, diff_inputs = [], []
+    rref = congruon.congruence.rref
     diff = congruon.congruence.difference_root_poly
 
-    def counted_hnf(m):
-        hnf_inputs.append(m)
-        return hnf(m)
+    def counted_rref(rows):
+        solve_inputs.append(tuple(map(tuple, rows)))
+        return rref(rows)
 
     def counted_diff(a, b):
         diff_inputs.append((a, b))
         return diff(a, b)
 
-    monkeypatch.setattr(congruon.congruence, "hnf_with_transform", counted_hnf)
+    monkeypatch.setattr(congruon.congruence, "rref", counted_rref)
     monkeypatch.setattr(congruon.congruence, "difference_root_poly", counted_diff)
     r = _run(runner, ["congpoly", p, q, "--all-ell"])
     assert r.exit_code == 0
     assert r.output.count("method=np") == np_lines
-    assert len(hnf_inputs) == len(set(hnf_inputs))
+    assert solve_inputs and len(solve_inputs) == len(set(solve_inputs))
     assert len(diff_inputs) <= 1
 
 

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.abc import x as sx, y as sy
+from sympy.polys.subresultants_qq_zz import sylvester
 
 import congruon.congruence
 from congruon.arith import valuation
@@ -18,9 +21,200 @@ from congruon.congruence import (
     congruence_number,
     difference_root_poly,
 )
+from congruon.hecke_io import parse_dataset
 from congruon.intpoly import IntPoly, gcd_over_q
+from congruon.linalg import mat_mul
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "congruon"
+GOLDEN_HIGH = Path(__file__).parent / "golden" / "charpolys_high.txt"
+
+
+# --- reference congruence number: Hermite form of the Sylvester matrix -------
+
+
+def sylvester_matrix(p, q):
+    """Sylvester matrix with rows X^(n-1)P..P, X^(m-1)Q..Q over X^(m+n-1)..X^0,
+    as a tuple of tuples."""
+    m, n = p.degree, q.degree
+    size = m + n
+    rows = []
+    for k in range(n - 1, -1, -1):  # row of X^k * P
+        row = [0] * size
+        for i, c in enumerate(p.coeffs):
+            row[size - 1 - (i + k)] = c
+        rows.append(tuple(row))
+    for k in range(m - 1, -1, -1):
+        row = [0] * size
+        for i, c in enumerate(q.coeffs):
+            row[size - 1 - (i + k)] = c
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def hnf_with_transform(matrix):
+    """Row Hermite normal form H with a unimodular B such that B*M = H, for
+    a matrix M of rows; H and B are lists of rows.
+
+    Pivots are positive, entries below them zero, entries above reduced into
+    [0, pivot). Euclidean elimination, column by column.
+    """
+    m, n = len(matrix), len(matrix[0]) if matrix else 0
+    a = [list(row) for row in matrix]
+    b = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if a[i][j] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(a[i][j]))
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                b[r], b[piv] = b[piv], b[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][j]:
+                    q = a[i][j] // a[r][j]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                        b[i] = [x - q * y for x, y in zip(b[i], b[r])]
+                    if a[i][j]:
+                        done = False
+            if done:
+                break
+        if a[r][j] == 0:
+            continue
+        if a[r][j] < 0:
+            a[r] = [-x for x in a[r]]
+            b[r] = [-x for x in b[r]]
+        for i in range(r):
+            q = a[i][j] // a[r][j]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                b[i] = [x - q * y for x, y in zip(b[i], b[r])]
+        r += 1
+    return a, b
+
+
+def reference_record(p, q):
+    """(c, r, s) of monic P, Q of degree >= 1 from the Hermite form of their
+    Sylvester matrix: c is the bottom-right pivot and the cofactors come
+    from the bottom row of the transform. A zero pivot means the inputs
+    share a factor."""
+    h, b = hnf_with_transform(sylvester_matrix(p, q))
+    c = h[-1][-1]
+    if c == 0:
+        raise NotCoprimeError("inputs share a factor")
+    assert c > 0 and not any(h[-1][:-1])
+    n = q.degree
+    r = IntPoly(list(reversed(b[-1][:n])))  # rows X^(n-1)P .. P
+    s = IntPoly(list(reversed(b[-1][n:])))  # rows X^(m-1)Q .. Q
+    return c, r, s
+
+
+def test_sylvester_layout():
+    # rows X^(n-1)P .. P then X^(m-1)Q .. Q against descending monomials
+    p, q = IntPoly([2, 1]), IntPoly([3, 0, 1])  # X+2, X^2+3
+    s = sylvester_matrix(p, q)
+    assert s == ((1, 2, 0), (0, 1, 2), (1, 0, 3))
+    assert sympy.Matrix(s) == sylvester(sx + 2, sx**2 + 3, sx)
+    assert sympy.Matrix(s).det() == sympy.resultant(
+        sympy.Poly(p.coeffs[::-1], sx), sympy.Poly(q.coeffs[::-1], sx)
+    )
+
+
+matrix_strategy = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=1, max_size=5
+    )
+)
+
+
+@given(matrix_strategy)
+@settings(max_examples=80)
+def test_hnf_properties(rows):
+    h, b = hnf_with_transform(rows)
+    assert mat_mul(b, rows) == h
+    assert abs(sympy.Matrix(b).det()) == 1
+    # row echelon with positive pivots and reduced entries above them
+    last = -1
+    for row in h:
+        nz = [j for j, v in enumerate(row) if v]
+        if not nz:
+            continue
+        j = nz[0]
+        assert j > last
+        last = j
+        assert row[j] > 0
+    # zero rows at the bottom
+    seen_zero = False
+    for row in h:
+        if any(row):
+            assert not seen_zero
+        else:
+            seen_zero = True
+
+
+def test_hnf_column_reduction():
+    h, b = hnf_with_transform([[2, 1], [0, 3]])
+    for row in h:
+        piv_cols = []
+        for r2 in h:
+            nz = [j for j, v in enumerate(r2) if v]
+            if nz:
+                piv_cols.append((nz[0], r2[nz[0]]))
+        for j, piv in piv_cols:
+            for i, r2 in enumerate(h):
+                nz = [jj for jj, v in enumerate(r2) if v]
+                if nz and nz[0] < j:
+                    assert 0 <= r2[j] < piv
+
+
+def _monic(degree, bound):
+    coeffs = st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree)
+    return coeffs.map(lambda cs: IntPoly([*cs, 1]))
+
+
+monic_pairs = st.sampled_from([3, 50, 10**6]).flatmap(
+    lambda bound: st.tuples(
+        st.integers(1, 8).flatmap(lambda d: _monic(d, bound)),
+        st.integers(1, 8).flatmap(lambda d: _monic(d, bound)),
+        st.integers(0, 2).flatmap(lambda d: _monic(d, bound)),
+    )
+)
+
+
+@given(monic_pairs)
+@settings(max_examples=150, deadline=None)
+def test_congruence_number_matches_sylvester_hnf(pair):
+    """Monic pairs of degree 1-8 (coefficients up to 3, 50 or 10^6) give the
+    record of the Sylvester HNF; multiplied by a common factor G of degree
+    1-2, both refuse them as not coprime."""
+    p, q, g = pair
+    if g.degree > 0:
+        p, q = g * p, g * q
+    try:
+        want = reference_record(p, q)
+    except NotCoprimeError:
+        with pytest.raises(NotCoprimeError):
+            congruence_number(p, q)
+        return
+    res = congruence_number(p, q)
+    assert (res.c, res.r, res.s) == want
+
+
+def test_level_389_degree_20_against_degree_6_matches_sylvester_hnf():
+    """389.2.e (degree 20) against 389.2.d (degree 6) at every prime of the
+    golden file: the record equals the Sylvester HNF's."""
+    data = parse_dataset(GOLDEN_HIGH.read_text())
+    e, d = data.form("389.2.e"), data.form("389.2.d")
+    assert e.degree == 20 and d.degree == 6
+    for p in sorted(e.charpolys):
+        pe, pd = e.charpolys[p], d.charpolys[p]
+        res = congruence_number(pe, pd)
+        assert (res.c, res.r, res.s) == reference_record(pe, pd), p
 
 
 def test_congruence_number_linear_pair():

@@ -10,10 +10,7 @@ from congruon.intpoly import (
     divides,
     factor_over_z,
     gcd_over_q,
-    hnf_with_transform,
-    sylvester_matrix,
 )
-from congruon.linalg import mat_mul
 
 small_coeffs = st.lists(st.integers(-30, 30), min_size=0, max_size=6)
 
@@ -72,61 +69,6 @@ def test_gcd_matches_sympy(a, b):
     got = gcd_over_q(p, q)
     want = sympy.gcd(to_sympy(p), to_sympy(q))
     assert got == from_sympy(want).primitive_part()
-
-
-def test_sylvester_layout():
-    # rows X^(n-1)P .. P then X^(m-1)Q .. Q against descending monomials
-    p, q = IntPoly([2, 1]), IntPoly([3, 0, 1])  # X+2, X^2+3
-    s = sylvester_matrix(p, q)
-    assert s == ((1, 2, 0), (0, 1, 2), (1, 0, 3))
-    assert sympy.Matrix(s).det() == sympy.resultant(to_sympy(p), to_sympy(q))
-
-
-matrix_strategy = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=1, max_size=5
-    )
-)
-
-
-@given(matrix_strategy)
-@settings(max_examples=80)
-def test_hnf_properties(rows):
-    h, b = hnf_with_transform(rows)
-    assert mat_mul(b, rows) == h
-    assert abs(sympy.Matrix(b).det()) == 1
-    # row echelon with positive pivots and reduced entries above them
-    last = -1
-    for row in h:
-        nz = [j for j, v in enumerate(row) if v]
-        if not nz:
-            continue
-        j = nz[0]
-        assert j > last
-        last = j
-        assert row[j] > 0
-    # zero rows at the bottom
-    seen_zero = False
-    for row in h:
-        if any(row):
-            assert not seen_zero
-        else:
-            seen_zero = True
-
-
-def test_hnf_column_reduction():
-    h, b = hnf_with_transform([[2, 1], [0, 3]])
-    for row in h:
-        piv_cols = []
-        for r2 in h:
-            nz = [j for j, v in enumerate(r2) if v]
-            if nz:
-                piv_cols.append((nz[0], r2[nz[0]]))
-        for j, piv in piv_cols:
-            for i, r2 in enumerate(h):
-                nz = [jj for jj, v in enumerate(r2) if v]
-                if nz and nz[0] < j:
-                    assert 0 <= r2[j] < piv
 
 
 @given(small_coeffs)

@@ -472,9 +472,12 @@ def test_level_71_export_work(monkeypatch):
     """Exporting level 71 at its Sturm primes factors one charpoly, of the
     6-dim plus new subspace at p = 2, whose two cubic factors split it into the
     classes; the charpolys taken have dimensions 6 + 2 * 4 * 3 = 30. On the
-    doubled space this took 9 factorizations and a dimension sum of 60."""
-    work = {"factor_over_z": 0, "charpoly_dim_sum": 0}
+    doubled space this took 9 factorizations and a dimension sum of 60. The
+    stability check keeps its restrictions of T_2, T_3, T_5 and T_7, so the
+    split reuses the new subspace's T_2: 12 restrictions in all."""
+    work = {"factor_over_z": 0, "charpoly_dim_sum": 0, "restrict_operator": 0}
     factor_over_z, charpoly = congruon.modsym.factor_over_z, congruon.modsym.charpoly
+    restrict_operator = congruon.modsym.restrict_operator
 
     def counted_factor(poly, *args):
         work["factor_over_z"] += 1
@@ -484,12 +487,17 @@ def test_level_71_export_work(monkeypatch):
         work["charpoly_dim_sum"] += len(m)
         return charpoly(m)
 
+    def counted_restrict(op, span):
+        work["restrict_operator"] += 1
+        return restrict_operator(op, span)
+
     monkeypatch.setattr(congruon.modsym, "factor_over_z", counted_factor)
     monkeypatch.setattr(congruon.modsym, "charpoly", counted_charpoly)
+    monkeypatch.setattr(congruon.modsym, "restrict_operator", counted_restrict)
     for cls in newform_classes(71):
         for p in sturm_bound(71, 2).primes:
             cls.class_charpoly(p)
-    assert work == {"factor_over_z": 1, "charpoly_dim_sum": 30}
+    assert work == {"factor_over_z": 1, "charpoly_dim_sum": 30, "restrict_operator": 12}
 
 
 def test_basis_independence():

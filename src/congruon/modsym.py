@@ -12,11 +12,13 @@ ones put in reduced echelon form by sparse elimination. V+ is Hecke
 isomorphic to the sigma-fixed part of V, holds each newform once and has
 dimension g - 1 + sum over d | N of ceil(phi(gcd(d, N/d)) / 2), g the genus
 of X0(N); so a class of degree d has dimension d and its T_p charpoly is
-its class charpoly. Everything is exact and integers first (see `linalg`):
-presentation columns are sparse, Hecke matrices are summed in int over
-Heilbronn matrices (Cremona's for an odd prime p not dividing N, Merel's
-otherwise), and a subspace is held as its reduced echelon basis over one
-common denominator. Characteristic polynomials come out integral.
+its class charpoly. T_p for p not dividing N is semisimple on the new part,
+so a Hecke-stable piece of it is one class once its T_p charpoly is
+irreducible, at any such p. Everything is exact and integers first (see
+`linalg`): presentation columns are sparse, Hecke matrices are summed in int
+over Heilbronn matrices (Cremona's for an odd prime p not dividing N,
+Merel's otherwise), and a subspace is held as its reduced echelon basis over
+one common denominator. Characteristic polynomials come out integral.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from .arith import CongruonError, divisors, euler_phi, factorize, index_gamma0
 from .arith import is_prime, prime_divisors, primes_upto, xgcd
 from .congruence import PreconditionError
-from .intpoly import FactorizationCapError, factor_over_z
+from .intpoly import factor_over_z
 from .linalg import (
     EchelonBasis,
     apply_poly,
@@ -42,10 +44,6 @@ DEFAULT_LEVEL_CAP = 300
 
 # Splitting primes cap for conjugacy-class separation.
 MAX_SPLIT_PRIME = 50
-
-# A class is declared separated once its charpoly at some prime here is
-# irreducible.
-MAX_WITNESS_PRIME = 13
 
 
 class LevelCapError(CongruonError, ValueError):
@@ -473,17 +471,15 @@ class ModSymSpace:
 
 class Subspace:
     """Hecke-stable subspace spanned by independent vectors, held as its
-    reduced echelon basis (computed once). The matrix of T_p, its charpoly
-    and the charpoly's factorization are memoised per prime; callers must
-    not modify a returned matrix."""
+    reduced echelon basis (computed once). The matrix of T_p and its
+    charpoly are memoised per prime; callers must not modify a returned
+    matrix."""
 
-    def __init__(self, space, basis, tag, check_stability=True):
+    def __init__(self, space, basis, check_stability=True):
         self.space = space
         self.echelon = EchelonBasis.of(basis)
-        self.tag = tag
         self._matrices = {}
         self._charpolys = {}
-        self._factors = {}
         if check_stability and self.dimension:
             for p in (2, 3, 5, 7):  # raises unless T_p preserves the span
                 self.hecke_matrix(p)
@@ -504,19 +500,12 @@ class Subspace:
             self._charpolys[p] = charpoly(self.hecke_matrix(p))
         return self._charpolys[p]
 
-    def charpoly_factors(self, p):
-        """factor_over_z of the T_p charpoly; a FactorizationCapError is
-        raised again on every call, since nothing is memoised for it."""
-        if p not in self._factors:
-            self._factors[p] = factor_over_z(self.hecke_charpoly(p))
-        return self._factors[p]
-
 
 def cuspidal_subspace(space):
     """Kernel of the boundary map."""
     _, boundary = space.boundary_data()
     basis = nullspace(boundary, space.dimension)
-    return Subspace(space, basis, "cuspidal")
+    return Subspace(space, basis)
 
 
 def _degeneracy_matrix(space, small_space, t):
@@ -551,14 +540,15 @@ def cuspidal_new_subspace(space):
     _, boundary = space.boundary_data()
     stacked = [row[:] for row in boundary]
     for q in prime_divisors(space.n):
-        small = build_space(space.n // q)
+        # a divisor level is below a level that already passed its cap
+        small = build_space(space.n // q, cap=space.n)
         if small.dimension == 0:
             continue
         for t in (1, q):
             deg = _degeneracy_matrix(space, small, t)
             stacked.extend(deg)
     basis = nullspace(stacked, space.dimension)
-    return Subspace(space, basis, "new")
+    return Subspace(space, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +567,12 @@ class NewformClass:
         charpolys=None,
         class_id=None,
         subspace=None,
-        unsplit=False,
     ):
         self.level = level
         self.weight = weight
         self.degree = degree
         self.charpolys = dict(charpolys or {})
         self.id = class_id
-        self.unsplit = unsplit
         self._subspace = subspace
         for p, poly in self.charpolys.items():
             self._validate(p, poly)
@@ -596,8 +584,7 @@ class NewformClass:
             )
 
     def class_charpoly(self, p):
-        """P_{f,p}: monic degree-d charpoly of T_p on the class. An unsplit
-        class raises FactorizationCapError where its charpoly exceeds the cap."""
+        """P_{f,p}: monic degree-d charpoly of T_p on the class."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p in self.charpolys:
@@ -606,8 +593,6 @@ class NewformClass:
             raise CharpolyMissingError(
                 f"charpoly for p={p} not available on class {self.id}"
             )
-        if self.unsplit:
-            self._subspace.charpoly_factors(p)
         poly = self._subspace.hecke_charpoly(p)
         self._validate(p, poly)
         self.charpolys[p] = poly
@@ -618,74 +603,47 @@ def _kernel_subspace(piece, op):
     """The subspace of piece killed by op, a matrix in piece's echelon basis."""
     ker = nullspace(op, piece.dimension)
     rows = mat_mul(ker, piece.echelon.rows)
-    return Subspace(piece.space, rows, "class", check_stability=False)
-
-
-def _is_witness(piece, p):
-    """True iff p <= MAX_WITNESS_PRIME and the T_p charpoly is irreducible."""
-    if p > MAX_WITNESS_PRIME:
-        return False
-    factors = piece.charpoly_factors(p)
-    return len(factors) == 1 and factors[0][1] == 1
+    return Subspace(piece.space, rows, check_stability=False)
 
 
 def decompose_into_classes(sub):
     """Split a Hecke-stable subspace (the cuspidal new subspace) of the plus
     quotient, which holds each class once, into Galois conjugacy classes.
 
-    Splitting factors the charpoly of T_p on sub for successive primes p not
-    dividing the level and cuts kernels of the factors; a piece is final
-    once its charpoly at some prime <= 13 is irreducible. Classes get
-    deterministic ids level.weight.a, .b, ...
+    T_p for p not dividing the level is semisimple there, so a piece whose
+    T_p charpoly is irreducible is one class. For successive such primes p,
+    a piece whose charpoly is one factor to a power above 1 waits for the
+    next prime, and any other is cut into the kernels of its factors f(T_p),
+    each the whole primary part. A split that needs a factorization above
+    the cap raises FactorizationCapError; a piece still waiting after
+    MAX_SPLIT_PRIME raises ClassSeparationError. Classes get deterministic
+    ids level.weight.a, .b, ...
     """
     n = sub.space.n
-    if sub.dimension == 0:
-        return []
-    pieces = [(sub, False, False)]  # (subspace, separated, capped)
+    found, left = [], [sub] if sub.dimension else []
     split_primes = [p for p in primes_upto(MAX_SPLIT_PRIME) if n % p != 0]
     for p in split_primes:
-        if all(done or capped for _, done, capped in pieces):
-            break
-        new_pieces = []
-        for piece, done, capped in pieces:
-            if done or capped:
-                new_pieces.append((piece, done, capped))
-                continue
-            try:
-                factors = piece.charpoly_factors(p)
-            except FactorizationCapError:
-                new_pieces.append((piece, False, True))
-                continue
+        waiting = []
+        for piece in left:
+            factors = factor_over_z(piece.hecke_charpoly(p))
             if len(factors) == 1:
-                new_pieces.append((piece, _is_witness(piece, p), False))
+                (found if factors[0][1] == 1 else waiting).append(piece)
                 continue
             m = piece.hecke_matrix(p)
             for fac, mult in factors:
-                part = _kernel_subspace(piece, apply_poly(fac**mult, m))
-                # the kernel of fac^mult(T_p) is its primary component, on
-                # which the charpoly of T_p is fac^mult
+                part = _kernel_subspace(piece, apply_poly(fac, m))
+                # exact check that ker f(T_p) is the whole primary part
                 assert part.dimension == fac.degree * mult
                 part._charpolys[p] = fac**mult
-                part._factors[p] = [(fac, mult)]
-                new_pieces.append((part, _is_witness(part, p), False))
-        pieces = new_pieces
-    classes = []
-    unsplit = []
-    for piece, done, capped in pieces:
-        if capped:
-            unsplit.append(
-                NewformClass(n, 2, piece.dimension, subspace=piece, unsplit=True)
-            )
-            continue
-        # verify a separation witness even if the loop marked the piece done
-        if not any(_is_witness(piece, p) for p in split_primes):
-            raise ClassSeparationError(
-                f"class separation failed for a dimension-{piece.dimension} "
-                f"piece at level {n}"
-            )
-        classes.append(NewformClass(n, 2, piece.dimension, subspace=piece))
+                (found if mult == 1 else waiting).append(part)
+        left = waiting
+    if left:
+        raise ClassSeparationError(
+            f"class separation failed for a dimension-{left[0].dimension} "
+            f"piece at level {n}"
+        )
+    classes = [NewformClass(n, 2, piece.dimension, subspace=piece) for piece in found]
 
-    # deterministic ordering and ids; unsplit pieces sort after regular ones
     def sort_key(cls):
         key = [cls.degree]
         for p in split_primes[:3]:
@@ -693,8 +651,6 @@ def decompose_into_classes(sub):
         return tuple(key)
 
     classes.sort(key=sort_key)
-    unsplit.sort(key=lambda c: c.degree)
-    classes.extend(unsplit)
     for i, cls in enumerate(classes):
         cls.id = f"{n}.2.{_letter(i)}"
     return classes

@@ -194,15 +194,25 @@ def test_charpoly_cap(runner):
     assert _run(runner, ["charpoly", "--level", "301", "--p", "2"]).exit_code == 4
     r = _run(runner, ["charpoly", "--level", "301", "--p", "2", "--cap", "301"])
     assert r.exit_code == 0
+    r = _run(runner, ["charpoly", "--level", "602", "--p", "2", "--cap", "602"])
+    assert r.exit_code == 0
 
 
 @pytest.mark.parametrize(
-    "args", [["charpoly", "--level", "23", "--p", "2"], ["eisenstein", "--level", "23"]]
+    "args",
+    [
+        ["charpoly", "--level", "23", "--p", "2"],
+        ["eisenstein", "--level", "23"],
+        ["charpoly", "--level", "37"],
+    ],
 )
 def test_factorization_cap_exit_code(runner, args):
+    # a split that needs a factorization above the cap refuses; no unsplit
+    # piece is printed as a class
     r = _run(runner, args, env={"CONGRUON_FACTOR_CAP": "1"})
     assert r.exit_code == 4
     assert "factorization cap exceeded" in r.output
+    assert "FORM" not in r.stdout
 
 
 @pytest.mark.parametrize("command", ["charpoly", "eisenstein"])

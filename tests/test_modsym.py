@@ -342,7 +342,7 @@ def test_restriction_to_unstable_span_rejected():
     with pytest.raises(ValueError):
         restrict_operator(space.hecke_matrix(2), EchelonBasis.of([v]))
     with pytest.raises(ValueError):
-        Subspace(space, [v], "line")
+        Subspace(space, [v])
 
 
 def test_path_vector_boundary_consistency():
@@ -423,6 +423,8 @@ def test_level_cap():
         build_space(301)
     with pytest.raises(LevelCapError):
         newform_classes(500)
+    # the divisor level 301 is built under the cap of the level asked for
+    assert sum(c.degree for c in newform_classes(602, cap=602)) == _new_dimension(602)
 
 
 def test_classes_level_11_and_17():
@@ -468,13 +470,31 @@ def test_class_charpoly_product_law():
             assert prod == chi
 
 
-def test_level_71_export_work(monkeypatch):
+@pytest.mark.parametrize(
+    "level, expected",
+    [
+        pytest.param(
+            71,
+            {"factor_over_z": 1, "charpoly_dim_sum": 30, "restrict_operator": 12},
+            id="71",
+        ),
+        pytest.param(
+            57,
+            {"factor_over_z": 2, "charpoly_dim_sum": 17, "restrict_operator": 17},
+            id="57",
+        ),
+    ],
+)
+def test_level_71_export_work(monkeypatch, level, expected):
     """Exporting level 71 at its Sturm primes factors one charpoly, of the
     6-dim plus new subspace at p = 2, whose two cubic factors split it into the
     classes; the charpolys taken have dimensions 6 + 2 * 4 * 3 = 30. On the
     doubled space this took 9 factorizations and a dimension sum of 60. The
     stability check keeps its restrictions of T_2, T_3, T_5 and T_7, so the
-    split reuses the new subspace's T_2: 12 restrictions in all."""
+    split reuses the new subspace's T_2: 12 restrictions in all. At level 57
+    the T_2 charpoly (X - 1)(X + 2)^2 cuts off a line, a class at once, and
+    the plane ker(T_2 + 2), whose T_5 charpoly (X + 3)(X - 1) splits it into
+    two classes: one factorization per prime, none repeated."""
     work = {"factor_over_z": 0, "charpoly_dim_sum": 0, "restrict_operator": 0}
     factor_over_z, charpoly = congruon.modsym.factor_over_z, congruon.modsym.charpoly
     restrict_operator = congruon.modsym.restrict_operator
@@ -494,10 +514,21 @@ def test_level_71_export_work(monkeypatch):
     monkeypatch.setattr(congruon.modsym, "factor_over_z", counted_factor)
     monkeypatch.setattr(congruon.modsym, "charpoly", counted_charpoly)
     monkeypatch.setattr(congruon.modsym, "restrict_operator", counted_restrict)
-    for cls in newform_classes(71):
-        for p in sturm_bound(71, 2).primes:
+    for cls in newform_classes(level):
+        for p in sturm_bound(level, 2).primes:
             cls.class_charpoly(p)
-    assert work == {"factor_over_z": 1, "charpoly_dim_sum": 30, "restrict_operator": 12}
+    assert work == expected
+
+
+def test_classes_split_at_a_prime_above_13(monkeypatch):
+    """A piece is a class once its T_p charpoly is irreducible at any
+    splitting prime: with 2..13 withheld, T_17 splits level 37 into 37b
+    (a_17 = 6) and 37a (a_17 = 0)."""
+    monkeypatch.setattr(
+        congruon.modsym, "primes_upto", lambda b: [p for p in primes_upto(b) if p > 13]
+    )
+    classes = newform_classes(37)
+    assert [c.class_charpoly(17) for c in classes] == [IntPoly([-6, 1]), IntPoly([0, 1])]
 
 
 def test_basis_independence():

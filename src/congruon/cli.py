@@ -151,7 +151,10 @@ def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutof
     for line in result_lines(record):
         click.echo(line)
     if store:
-        ResultsStore(store).append(record)
+        try:
+            ResultsStore(store).append(record)
+        except OSError as e:
+            raise CongruonError(str(e)) from None
 
 
 @main.command()
@@ -185,10 +188,13 @@ def levelraise(f_spec, prime, ell):
 
 
 @main.command()
-@click.option("--store", type=click.Path(exists=True), required=True)
+@click.option("--store", type=click.Path(exists=True, dir_okay=False), required=True)
 def compact(store):
     """Rewrite a results store without duplicate records."""
-    ResultsStore(store).compact()
+    try:
+        ResultsStore(store).compact()
+    except OSError as e:
+        raise CongruonError(str(e)) from None
 
 
 if __name__ == "__main__":

@@ -4,19 +4,22 @@ Dataset lines ('#' starts a comment):
     FORM id=<token> level=<int> weight=<int> degree=<int>
     CP id=<token> p=<prime> coeffs=<c0>,<c1>,...,<cd>
 Results lines:
+    # cmp f=<token> g=<token> opts=<hash>[ insufficient-primes][ excluded=<p>,...][ shared=<p>,...]
     RESULT f=<token> g=<token> Lminus=<int> Lplus=<int> sturm=<num>/<den> hyp314=<0|1> skipTl=<0|1>
     DETAIL f=<token> g=<token> p=<prime> c=<int> d=<int> method=<cn|np|oldspace>
 
-The results store is append-only under an advisory lock, deduplicated by
-(f, g, options hash); a compaction pass rewrites it without duplicates into
-a temporary file that atomically replaces the store.
+The '# cmp' line opens each record. Its <hash> is the first 12 hex digits
+of the sha256 of the comparison options' canonical text (`options_text`),
+empty for a record built without options. The results store is append-only
+under an advisory lock, deduplicated by the (f, g, opts) of these lines; a
+compaction pass rewrites it without duplicates into a temporary file that
+atomically replaces the store.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
-import hashlib
 import os
 import re
 from dataclasses import dataclass
@@ -81,11 +84,20 @@ class ComparisonRecord:
     insufficient_primes: bool = False
     excluded_primes: tuple = ()
     shared_charpoly_primes: tuple = ()
-    options_hash: str = ""
+    options_text: str = ""
 
     def __post_init__(self):
         if self.l_plus % self.l_minus != 0:
             raise ValueError("L- must divide L+")
+
+    @property
+    def options_hash(self):
+        """12 hex digits of the sha256 of `options_text`; '' without options."""
+        if not self.options_text:
+            return ""
+        import hashlib  # here, not at the top: it maps OpenSSL, 3.6 MB resident
+
+        return hashlib.sha256(self.options_text.encode()).hexdigest()[:12]
 
 
 def _check_token(tok, lineno):
@@ -214,10 +226,10 @@ def result_lines(record):
     return lines
 
 
-def options_hash(options):
-    """Stable short hash of a comparison options object."""
-    text = repr(sorted(vars(options).items()))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+def options_text(options):
+    """Canonical text of a comparison options object, hashed by
+    `ComparisonRecord.options_hash`."""
+    return repr(sorted(vars(options).items()))
 
 
 class ResultsStore:

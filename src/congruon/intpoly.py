@@ -347,9 +347,9 @@ def _pm_pow_mod(base, e, mod_poly, p):
     return result
 
 
-def _factor_mod_p(f, p, rng):
-    """Factor a monic squarefree f (coeff list) over F_p into monic irreducibles."""
-    # Distinct-degree stage.
+def _distinct_degree(f, p):
+    """Split a monic squarefree f (coeff list) over F_p into (g, d) pieces,
+    g the product of the irreducible factors of f of degree d."""
     pieces = []
     v = list(f)
     h = [0, 1]
@@ -364,7 +364,11 @@ def _factor_mod_p(f, p, rng):
             h = _pm_divmod(h, v, p)[1]
     if len(v) > 1:
         pieces.append((v, len(v) - 1))
-    # Equal-degree (Cantor-Zassenhaus) stage.
+    return pieces
+
+
+def _equal_degree(pieces, p, rng):
+    """Split distinct-degree pieces into monic irreducibles (Cantor-Zassenhaus)."""
     out = []
     for g, d in pieces:
         stack = [g]
@@ -446,8 +450,11 @@ def _factor_bound(f):
     return (norm * abs(f.leading)) << (f.degree + 1)
 
 
-def _choose_prime(f, rng):
-    """Odd primes with squarefree reduction, few modular factors preferred."""
+def _choose_prime(f):
+    """Odd primes with squarefree reduction, few modular factors preferred.
+
+    Returns (number of factors, p, distinct-degree pieces of f mod p); the
+    count needs only the distinct-degree stage."""
     candidates = []
     p = 3
     tried = 0
@@ -459,9 +466,10 @@ def _choose_prime(f, rng):
         if len(_pm_gcd(fp, dfp, p)) == 1:
             inv = pow(fp[-1], -1, p)
             fp_monic = [c * inv % p for c in fp]
-            facs = _factor_mod_p(fp_monic, p, rng)
-            candidates.append((len(facs), p, facs))
-            if len(facs) == 1:
+            pieces = _distinct_degree(fp_monic, p)
+            nfacs = sum((len(g) - 1) // d for g, d in pieces)
+            candidates.append((nfacs, p, pieces))
+            if nfacs == 1:
                 break
             tried += 1
         p += 2
@@ -476,10 +484,10 @@ def _factor_squarefree(f, cap):
         raise FactorizationCapError(
             f"factorization cap exceeded: degree {f.degree} > cap {cap}"
         )
-    rng = random.Random(0x5EED ^ hash(f.coeffs) & 0xFFFF)
-    nfacs, p, modular = _choose_prime(f, rng)
+    nfacs, p, pieces = _choose_prime(f)
     if nfacs == 1:
         return [f]
+    modular = _equal_degree(pieces, p, random.Random(0x5EED ^ hash(f.coeffs) & 0xFFFF))
     bound = 2 * _factor_bound(f)
     target = 1
     while p**target <= bound:

@@ -24,7 +24,6 @@ one common denominator. Characteristic polynomials come out integral.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 
 from .arith import CongruonError, divisors, euler_phi, factorize, index_gamma0
@@ -76,21 +75,38 @@ class P1:
         self.n = n
         # A point (c:d) has a representative (g:d') with g = gcd(c, N), read
         # as 0 when N | c, whose d' is the least among the pairs (g:ud) with
-        # u a unit = 1 mod N/g. Scanning c = 0 and then the proper divisors of N
-        # in ascending order, d ascending, meets the representatives in
-        # sorted order, each as the first unmarked point of its unit orbit,
-        # which is then marked whole.
+        # u a unit = 1 mod N/g, the units that fix row g. Scanning c = 0 and
+        # then the proper divisors of N in ascending order, d ascending, meets
+        # the representatives in sorted order, each as the first unmarked
+        # point of its row, where its orbit is then marked. Every other row
+        # is u*g for a unit u, and (ug:e) = u(g:e/u) reads row g permuted.
         units = [u for u in range(n) if math.gcd(u, n) == 1]
-        self.table = array("i", [-1]) * (n * n)
         self._list = []
+        self.table = table = [-1] * (n * n)
+        divisor_rows = []
         for c in [0, *divisors(n)[:-1]]:
             g = c or n
+            fixing = [u for u in units if (u - 1) % (n // g) == 0]
+            row = [-1] * n
             for d in range(n):
-                if self.table[c * n + d] < 0 and math.gcd(g, d) == 1:
+                if row[d] < 0 and math.gcd(g, d) == 1:
                     i = len(self._list)
                     self._list.append((c, d))
-                    for u in units:
-                        self.table[u * c % n * n + u * d % n] = i
+                    for u in fixing:
+                        row[u * d % n] = i
+            table[c * n : c * n + n] = row
+            divisor_rows.append((c, row))
+        filled = {c for c, _ in divisor_rows}
+        for u in units:
+            inv = pow(u, -1, n)
+            for c, row in divisor_rows:
+                uc = u * c % n
+                if uc not in filled:
+                    filled.add(uc)
+                    # entry e is row[inv * e % n]
+                    table[uc * n : uc * n + n] = [
+                        row[x % n] for x in range(0, inv * n, inv)
+                    ]
 
     def __len__(self):
         return len(self._list)

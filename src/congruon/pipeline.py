@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arith import factorize, index_gamma0, is_prime, primes_upto, valuation
 from .congruence import NotCoprimeError, PreconditionError, congruence_number
-from .hecke_io import ComparisonRecord, PerPrimeDetail, options_hash
+from .hecke_io import ComparisonRecord, PerPrimeDetail, options_text
 from .intpoly import IntPoly
 
 
@@ -233,7 +233,7 @@ def compare_newforms(f, g, opts=None):
         insufficient_primes=insufficient,
         excluded_primes=tuple(excluded),
         shared_charpoly_primes=tuple(shared),
-        options_hash=options_hash(opts),
+        options_text=options_text(opts),
     )
 
 

@@ -401,6 +401,23 @@ def test_compact_command(runner, dataset71, tmp_path):
     assert store.read_text().count("RESULT ") == 1
 
 
+@pytest.mark.parametrize("store", ["missing/r.txt", "directory"])
+def test_congforms_store_path_refused(runner, dataset71, tmp_path, store):
+    """A store that cannot be opened is a usage error, not a traceback."""
+    (tmp_path / "directory").mkdir()
+    args = ["congforms", "--f", f"{dataset71}#71.2.a", "--g", f"{dataset71}#71.2.b"]
+    r = _run(runner, [*args, "--store", str(tmp_path / store)])
+    assert r.exit_code == 2
+    assert "RESULT f=71.2.a g=71.2.b" in r.stdout
+
+
+def test_compact_refuses_a_directory(runner, tmp_path):
+    store = tmp_path / "directory"
+    store.mkdir()
+    assert _run(runner, ["compact", "--store", str(store)]).exit_code == 2
+    assert not (tmp_path / "directory.lock").exists()
+
+
 # --- eisenstein / levelraise -------------------------------------------------
 
 

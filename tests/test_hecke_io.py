@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -11,13 +13,14 @@ from congruon.hecke_io import (
     PerPrimeDetail,
     ResultsStore,
     export_class,
-    options_hash,
+    options_text,
     parse_dataset,
     result_lines,
     serialize_dataset,
 )
 from congruon.intpoly import IntPoly
 from congruon.modsym import NewformClass, newform_classes
+from congruon.pipeline import ComparisonOptions
 
 SAMPLE = """\
 # a comment line
@@ -84,7 +87,7 @@ def _record(f="f.a", g="g.b", opts="abc123"):
         l_plus=18,
         sturm=Fraction(11),
         per_prime=(PerPrimeDetail(2, 9, 9, "cn"), PerPrimeDetail(11, 144, 18, "np")),
-        options_hash=opts,
+        options_text=opts,
     )
 
 
@@ -182,8 +185,69 @@ def test_options_hash_stability():
         def __init__(self, a):
             self.a = a
 
-    assert options_hash(Opts(1)) == options_hash(Opts(1))
-    assert options_hash(Opts(1)) != options_hash(Opts(2))
+    def key(opts):
+        return _record(opts=options_text(opts)).options_hash
+
+    assert key(Opts(1)) == key(Opts(1))
+    assert key(Opts(1)) != key(Opts(2))
+    assert result_lines(_record(opts=""))[0] == "# cmp f=f.a g=g.b opts="
+
+
+def test_options_hash_is_pinned(tmp_path):
+    """Store keys are pinned, so a store written by an earlier version
+    still deduplicates the same comparison."""
+    default = _record(opts=options_text(ComparisonOptions()))
+    assert default.options_hash == "945b9f8876e0"
+    irred = _record(opts=options_text(ComparisonOptions(assert_irreducible=True)))
+    assert irred.options_hash == "4e8ac1496742"
+    path = tmp_path / "results.txt"
+    path.write_text(
+        "# cmp f=f.a g=g.b opts=945b9f8876e0\n"
+        "RESULT f=f.a g=g.b Lminus=18 Lplus=18 sturm=11/1 hyp314=1 skipTl=0\n"
+        "DETAIL f=f.a g=g.b p=2 c=9 d=9 method=cn\n"
+        "DETAIL f=f.a g=g.b p=11 c=144 d=18 method=np\n"
+    )
+    before = path.read_text()
+    store = ResultsStore(str(path))
+    assert store.append(default) is False
+    assert path.read_text() == before == "\n".join(result_lines(default)) + "\n"
+    assert store.append(irred) is True
+
+
+_FOOTPRINT = """
+import importlib, pkgutil, sys
+import congruon
+for mod in pkgutil.iter_modules(congruon.__path__):
+    importlib.import_module("congruon." + mod.name)
+from congruon.cli import main
+from congruon.hecke_io import result_lines
+from congruon.modsym import newform_classes
+from congruon.pipeline import compare_newforms, eisenstein_scan
+main(["congpoly", "12,1", "-60,1", "--all-ell"], standalone_mode=False)
+f, g = newform_classes(37)
+record = compare_newforms(f, g)
+eisenstein_scan(f)
+loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+assert not loaded, loaded
+print(result_lines(record)[0])
+assert "hashlib" in sys.modules
+"""
+
+
+def test_compute_path_never_loads_hashlib():
+    """hashlib maps OpenSSL's libcrypto (3.6 MB resident); only writing a
+    result needs it, so computing and printing must not import it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "# cmp f=37.2.a g=37.2.b opts=945b9f8876e0"
 
 
 def test_dataset_duplicate_ids_rejected():

@@ -77,6 +77,34 @@ def test_factor_matches_sympy(a):
     f = IntPoly(a)
     if f.is_zero or f.degree < 1:
         return
+    _assert_factors_match_sympy(f)
+
+
+# (lower coefficients, leading coefficient, multiplicity) of each factor
+factor_parts = st.lists(
+    st.tuples(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(factor_parts)
+@settings(max_examples=60, deadline=None)
+def test_factor_products_match_sympy(parts):
+    """Products of random factors of degree 1 to 4, some repeated, so that
+    the modular factorization meets several factors of one degree and the
+    squarefree parts carry multiplicities."""
+    f = IntPoly([1])
+    for tail, lead, mult in parts:
+        f = f * IntPoly([*tail, lead]) ** mult
+    _assert_factors_match_sympy(f)
+
+
+def _assert_factors_match_sympy(f):
     got = factor_over_z(f)
     _, want = sympy.factor_list(to_sympy(f).as_expr())
     want_set = sorted(

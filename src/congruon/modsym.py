@@ -15,10 +15,11 @@ of X0(N); so a class of degree d has dimension d and its T_p charpoly is
 its class charpoly. T_p for p not dividing N is semisimple on the new part,
 so a Hecke-stable piece of it is one class once its T_p charpoly is
 irreducible, at any such p. Everything is exact and integers first (see
-`linalg`): presentation columns are sparse, Hecke matrices are summed in int
-over Heilbronn matrices (Cremona's for an odd prime p not dividing N,
-Merel's otherwise), and a subspace is held as its reduced echelon basis over
-one common denominator. Characteristic polynomials come out integral.
+`linalg`): presentation columns are sparse, T_p (U_p when p | N) and the
+degeneracy maps are one int sum over Heilbronn matrices (Merel 1994;
+Merel's four for 2, Cremona's for odd primes), and a subspace is held as its
+reduced echelon basis over one common denominator. Characteristic
+polynomials come out integral.
 """
 
 from __future__ import annotations
@@ -125,22 +126,6 @@ class P1:
         return i
 
 
-def merel_matrices(n):
-    """Merel's set of integer matrices of determinant n defining T_n."""
-    for a in range(1, n + 1):
-        for d in range((n + a - 1) // a, n + 2 - a):
-            bc = a * d - n
-            if bc == 0:
-                for b in range(a):
-                    yield a, b, 0, d
-                for c in range(1, d):
-                    yield a, 0, c, d
-            else:
-                for b in range((bc - 1) // (d - 1) + 1, a):
-                    if bc % b == 0:
-                        yield a, b, bc // b, d
-
-
 def _nearest(a, b):
     """a / b rounded to the nearest integer, halves away from zero."""
     q = (2 * abs(a) + abs(b)) // (2 * abs(b))
@@ -149,9 +134,9 @@ def _nearest(a, b):
 
 def cremona_matrices(p):
     """Cremona's Heilbronn matrices of determinant p, an odd prime, defining
-    T_p at levels prime to p (Cremona, Algorithms for Modular Elliptic
-    Curves, 2.4): (1, 0, 0, p) and, for each r with |r| <= p/2, the
-    matrices met along the nearest-integer continued fraction of p/r."""
+    T_p, or U_p where p | N (Cremona, Algorithms for Modular Elliptic Curves,
+    2.4): (1, 0, 0, p) and, for each r with |r| <= p/2, the matrices met
+    along the nearest-integer continued fraction of p/r."""
     yield 1, 0, 0, p
     for r in range(-(p // 2), p // 2 + 1):
         x1, x2, y1, y2 = p, -r, 0, 1
@@ -163,6 +148,19 @@ def cremona_matrices(p):
             x1, x2 = x2, q * x2 - x1
             y1, y2 = y2, q * y2 - y1
             yield x1, x2, y1, y2
+
+
+def heilbronn_matrices(t):
+    """Heilbronn matrices of determinant t, 1 or a prime: the identity, Merel's
+    four for t = 2, Cremona's for an odd prime. ModSymSpace._action_sum sums
+    them into T_t (U_t where t | N) and the degeneracy maps."""
+    if t == 1:
+        return [(1, 0, 0, 1)]
+    if t == 2:
+        return [(1, 0, 0, 2), (1, 0, 1, 2), (2, 0, 0, 1), (2, 1, 0, 1)]
+    if not is_prime(t):
+        raise ValueError(f"{t} is neither 1 nor a prime")
+    return list(cremona_matrices(t))
 
 
 def lift_to_sl2z(c, d, n):
@@ -384,21 +382,38 @@ class ModSymSpace:
 
     # -- Hecke action -------------------------------------------------------
 
-    def _action_sum(self, matrices):
-        """Matrix on the space of the sum of the right actions of
-        integer 2x2 matrices (a, b, c, d): (u:v) -> (ua + vc : ub + vd).
-
-        The image of each generator under each matrix is added straight
-        into the total; off-P^1 images contribute nothing.
+    def _action_sum(self, matrices, target=None, t=1):
+        """Matrix, from this space to target (this space by default), of the
+        sum of the right actions of integer 2x2 matrices (a, b, c, d) on the
+        generators: (u:v) -> (ua + vc : ub + vd), looked up in the P^1 table
+        of target (off-P^1 images add nothing). For t > 1 an image counts
+        only when t divides both entries, which are then divided by t: over
+        heilbronn_matrices(t) this is the degeneracy map {a, b} -> {ta, tb}
+        to a level M with tM | N (Merel 1994).
         """
-        n = self.n
-        table, columns = self.p1.table, self._columns
+        target = self if target is None else target
+        m = target.n
+        table, columns = target.p1.table, target._columns
         matrices = list(matrices)
+        # the P^1 index of each image, generator by generator (-1: none)
+        if t == 1:
+            points = [
+                table[(u * a + v * c) % m * m + (u * b + v * d) % m]
+                for u, v in self._generators
+                for a, b, c, d in matrices
+            ]
+        else:
+            points = [
+                table[x // t % m * m + y // t % m] if x % t == 0 == y % t else -1
+                for u, v in self._generators
+                for a, b, c, d in matrices
+                for x, y in [(u * a + v * c, u * b + v * d)]
+            ]
+        h = len(matrices)
         images = []
-        for c, d in self._generators:
-            image = [0] * self.dimension
-            for a, b, c2, d2 in matrices:
-                i = table[(c * a + d * c2) % n * n + (c * b + d * d2) % n]
+        for k in range(0, len(points), h):
+            image = [0] * target.dimension
+            for i in points[k : k + h]:
                 if i >= 0:
                     for row, x in columns[i]:
                         image[row] += x
@@ -407,14 +422,9 @@ class ModSymSpace:
 
     def hecke_matrix(self, p):
         """Matrix of T_p (U_p when p | N) on the plus space, summed over
-        Cremona's matrices of determinant p for an odd prime p not dividing
-        N and over Merel's otherwise."""
+        heilbronn_matrices(p), which refuse a p that is neither 1 nor prime."""
         if p not in self._hecke_cache:
-            if p % 2 and self.n % p and is_prime(p):
-                matrices = cremona_matrices(p)
-            else:
-                matrices = merel_matrices(p)
-            self._hecke_cache[p] = self._action_sum(matrices)
+            self._hecke_cache[p] = self._action_sum(heilbronn_matrices(p))
         return self._hecke_cache[p]
 
     # -- cusps and boundary -------------------------------------------------
@@ -438,51 +448,6 @@ class ModSymSpace:
         self._cusp_list = cusps
         self._boundary = mat
         return cusps, mat
-
-    # -- modular symbols from cusp paths ------------------------------------
-
-    def path_vector(self, cusp):
-        """Vector of the modular symbol {oo, cusp} in the free basis.
-
-        cusp is a pair (num, den); den == 0 means the cusp oo (zero path).
-        """
-        num, den = cusp
-        if den == 0:
-            return [0] * self.dimension
-        if den < 0:
-            num, den = -num, -den
-        # continued-fraction expansion of num/den (floor division)
-        a_list = []
-        x, y = num, den
-        while y:
-            q, r = divmod(x, y)
-            a_list.append(q)
-            x, y = y, r
-        convergents = []
-        pm1, qm1 = 1, 0
-        pm2, qm2 = 0, 1
-        for a in a_list:
-            p_k = a * pm1 + pm2
-            q_k = a * qm1 + qm2
-            convergents.append((p_k, q_k))
-            pm2, qm2 = pm1, qm1
-            pm1, qm1 = p_k, q_k
-        total = [0] * self.dimension
-        prev_p, prev_q = 1, 0
-        for p_k, q_k in convergents:
-            det = p_k * prev_q - prev_p * q_k
-            assert det in (1, -1)
-            # Manin symbol of [[p_k, det*prev_p], [q_k, det*prev_q]] (det 1)
-            for i, x in self._columns[self.p1.index((q_k, det * prev_q))]:
-                total[i] += x
-            prev_p, prev_q = p_k, q_k
-        return total
-
-    def symbol_between_cusps(self, alpha, beta):
-        """Vector of {alpha, beta}; cusps are (num, den) pairs, den 0 = oo."""
-        a = self.path_vector(alpha)
-        b = self.path_vector(beta)
-        return [y - x for x, y in zip(a, b)]
 
 
 class Subspace:
@@ -524,33 +489,6 @@ def cuspidal_subspace(space):
     return Subspace(space, basis)
 
 
-def _degeneracy_matrix(space, small_space, t):
-    """Matrix of {a, b} -> {t a, t b} from level N to the divisor level."""
-    rows = small_space.dimension
-    cols = []
-    for c, d in space.generator_symbols():
-        a, b, cc, dd = lift_to_sl2z(c, d, space.n)
-        # generator is {b/dd, a/cc}
-        alpha = _scale_cusp(b, dd, t)
-        beta = _scale_cusp(a, cc, t)
-        cols.append(small_space.symbol_between_cusps(alpha, beta))
-    mat = [[0] * space.dimension for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i in range(rows):
-            if col[i]:
-                mat[i][j] = col[i]
-    return mat
-
-
-def _scale_cusp(num, den, t):
-    num *= t
-    g = math.gcd(num, den)
-    if g:
-        num //= g
-        den //= g
-    return num, den
-
-
 def cuspidal_new_subspace(space):
     """Cuspidal vectors killed by all degeneracy maps to lower levels."""
     _, boundary = space.boundary_data()
@@ -561,8 +499,7 @@ def cuspidal_new_subspace(space):
         if small.dimension == 0:
             continue
         for t in (1, q):
-            deg = _degeneracy_matrix(space, small, t)
-            stacked.extend(deg)
+            stacked.extend(space._action_sum(heilbronn_matrices(t), small, t))
     basis = nullspace(stacked, space.dimension)
     return Subspace(space, basis)
 

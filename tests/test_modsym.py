@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from congruon.arith import primes_upto, xgcd
+from congruon.arith import prime_divisors, primes_upto, xgcd
 from congruon.intpoly import IntPoly, factor_over_z
 import congruon.modsym
 from congruon.linalg import (
@@ -20,12 +20,11 @@ from congruon.modsym import (
     ModSymSpace,
     Subspace,
     build_space,
-    cremona_matrices,
     cuspidal_new_subspace,
     cuspidal_subspace,
     decompose_into_classes,
+    heilbronn_matrices,
     lift_to_sl2z,
-    merel_matrices,
     newform_classes,
 )
 from congruon.pipeline import sturm_bound
@@ -189,34 +188,137 @@ def test_presentation_satisfies_relations():
     assert ModSymSpace(389).dimension == 33
 
 
+# --- reference Hecke and degeneracy constructions: Merel's set of any
+# determinant, and the degeneracy maps from paths between cusps ------------
+
+
+def _merel_matrices(n):
+    """Merel's set of integer matrices of determinant n defining T_n."""
+    for a in range(1, n + 1):
+        for d in range((n + a - 1) // a, n + 2 - a):
+            bc = a * d - n
+            if bc == 0:
+                for b in range(a):
+                    yield a, b, 0, d
+                for c in range(1, d):
+                    yield a, 0, c, d
+            else:
+                for b in range((bc - 1) // (d - 1) + 1, a):
+                    if bc % b == 0:
+                        yield a, b, bc // b, d
+
+
+def _path_vector(space, cusp):
+    """Vector of the modular symbol {oo, cusp} in the free basis, summed
+    along the continued-fraction convergents of cusp = (num, den); den == 0
+    means the cusp oo (zero path)."""
+    num, den = cusp
+    total = [0] * space.dimension
+    if den == 0:
+        return total
+    if den < 0:
+        num, den = -num, -den
+    prev_p, prev_q = 1, 0
+    pm2, qm2 = 0, 1
+    while den:
+        q, r = divmod(num, den)
+        num, den = den, r
+        p_k, q_k = q * prev_p + pm2, q * prev_q + qm2
+        det = p_k * prev_q - prev_p * q_k
+        assert det in (1, -1)
+        # Manin symbol of [[p_k, det*prev_p], [q_k, det*prev_q]] (det 1)
+        x = space.symbol_vector((q_k, det * prev_q))
+        total = [a + b for a, b in zip(total, x)]
+        pm2, qm2 = prev_p, prev_q
+        prev_p, prev_q = p_k, q_k
+    return total
+
+
+def _symbol_between_cusps(space, alpha, beta):
+    """Vector of {alpha, beta}; cusps are (num, den) pairs, den 0 = oo."""
+    a = _path_vector(space, alpha)
+    b = _path_vector(space, beta)
+    return [y - x for x, y in zip(a, b)]
+
+
+def _scale_cusp(num, den, t):
+    num *= t
+    g = math.gcd(num, den)
+    if g:
+        num //= g
+        den //= g
+    return num, den
+
+
+def _degeneracy_matrix(space, small, t):
+    """Matrix of {a, b} -> {t a, t b} from level N to the divisor level of
+    small: generator (c:d) lifts to g in SL2(Z), whose symbol is
+    {b/d, a/c}."""
+    cols = []
+    for c, d in space.generator_symbols():
+        a, b, cc, dd = lift_to_sl2z(c, d, space.n)
+        alpha = _scale_cusp(b, dd, t)
+        beta = _scale_cusp(a, cc, t)
+        cols.append(_symbol_between_cusps(small, alpha, beta))
+    return [list(row) for row in zip(*cols)]
+
+
 def test_cremona_set_determinant_and_size():
     for p in primes_upto(200)[1:]:
-        for a, b, c, d in cremona_matrices(p):
+        for a, b, c, d in heilbronn_matrices(p):
             assert a * d - b * c == p
     # about half of Merel's set
-    assert [len(list(f(31))) for f in (cremona_matrices, merel_matrices)] == [106, 219]
-    assert [len(list(f(43))) for f in (cremona_matrices, merel_matrices)] == [154, 345]
+    assert [len(heilbronn_matrices(31)), len(list(_merel_matrices(31)))] == [106, 219]
+    assert [len(heilbronn_matrices(43)), len(list(_merel_matrices(43)))] == [154, 345]
 
 
 def test_cremona_hecke_matrix_equals_merel():
-    """Full-space T_p, summed over Cremona's matrices, equals the sum over
-    Merel's entry by entry."""
+    """Full-space T_p (U_p where p | N), summed over Cremona's matrices,
+    equals the sum over Merel's entry by entry."""
     for n in range(1, 101):
         space = ModSymSpace(n)
         for p in primes_upto(47)[1:]:
-            if n % p:
-                merel = space._action_sum(merel_matrices(p))
-                assert space.hecke_matrix(p) == merel, (n, p)
+            merel = space._action_sum(_merel_matrices(p))
+            assert space.hecke_matrix(p) == merel, (n, p)
 
 
 def test_merel_set_determinant_and_p2():
-    mats = list(merel_matrices(2))
-    assert len(mats) == 4
-    for a, b, c, d in mats:
-        assert a * d - b * c == 2
-    for p in (3, 5, 7):
-        for a, b, c, d in merel_matrices(p):
+    assert heilbronn_matrices(1) == [(1, 0, 0, 1)]
+    mats = heilbronn_matrices(2)
+    assert mats == list(_merel_matrices(2)) and len(mats) == 4
+    for p in (2, 3, 5, 7):
+        for a, b, c, d in _merel_matrices(p):
             assert a * d - b * c == p
+
+
+@pytest.mark.parametrize("t", [0, -3, 4, 9, 15, 49])
+def test_heilbronn_matrices_refuse_composites(t):
+    """Cremona's construction holds only for primes, so T_t for t neither
+    1 nor prime is refused rather than summed over the wrong set."""
+    with pytest.raises(ValueError, match="neither 1 nor a prime"):
+        heilbronn_matrices(t)
+    space = ModSymSpace(11)
+    with pytest.raises(ValueError, match="neither 1 nor a prime"):
+        space.hecke_matrix(t)
+    assert t not in space._hecke_cache
+
+
+def test_degeneracy_matrices_equal_cusp_path_reference():
+    """The degeneracy maps alpha_1 and alpha_q to level N/q, summed over
+    heilbronn_matrices(t) with the images t divides, equal the maps built
+    from paths between cusps, entry by entry, for every N <= 160, q | N."""
+    checked = 0
+    for n in range(2, 161):
+        space = build_space(n)
+        for q in prime_divisors(n):
+            small = build_space(n // q)
+            if small.dimension == 0:
+                continue
+            for t in (1, q):
+                got = space._action_sum(heilbronn_matrices(t), small, t)
+                assert got == _degeneracy_matrix(space, small, t), (n, q, t)
+                checked += 1
+    assert checked == 504
 
 
 def test_lift_to_sl2z():
@@ -314,7 +416,7 @@ def test_star_involution(n):
     space = build_space(n)
     p1 = space.p1
     for p in (2, 3):
-        mats = list(merel_matrices(p))
+        mats = list(_merel_matrices(p))
 
         def image(pair):
             total = [0] * space.dimension
@@ -352,7 +454,7 @@ def test_path_vector_boundary_consistency():
         space = build_space(n)
         cusps, boundary = space.boundary_data()
         for alpha, beta in [((0, 1), (1, 0)), ((1, 2), (1, 3)), ((2, 5), (0, 1))]:
-            vec = space.symbol_between_cusps(alpha, beta)
+            vec = _symbol_between_cusps(space, alpha, beta)
             img = mat_vec(boundary, vec)
             want = [Fraction(0)] * len(cusps)
             for (num, den), sign in [(beta, 1), (alpha, -1)]:
@@ -364,7 +466,7 @@ def test_path_vector_boundary_consistency():
 
 def test_infinity_zero_symbol():
     space = build_space(11)
-    v = space.symbol_between_cusps((1, 0), (0, 1))
+    v = _symbol_between_cusps(space, (1, 0), (0, 1))
     assert v == space.symbol_vector((1, 0))
     neg = [-x for x in space.symbol_vector((0, 1))]
     assert v == neg

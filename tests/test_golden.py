@@ -27,6 +27,18 @@ run under a `$ ` line with its arguments, for the seeded planted pairs of
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_golden as g; open(g.GOLDEN_CONGPOLY, 'w').write(g.congpoly_text())"
+
+`golden/compare.txt` holds the comparison's `result_lines`, each run under a
+`$ ` line naming it (a refusal as `error: <message> (exit <code>)`): every
+pair of classes at each level 11-160; the `--assert-irred` old-space
+comparisons of the composite levels 90, 110, 114, 130 and 155 against their
+proper divisor levels >= 11; option variants at 71 and 155; and the `EIS`
+lines of every class at each prime level of the charpoly golden files, plus
+11 and 71 with a cutoff. Same-level classes are read back from the charpoly
+golden files. Regenerate it with:
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+import test_golden as g; open(g.GOLDEN_COMPARE, 'w').write(g.compare_text())"
 """
 
 import math
@@ -35,11 +47,17 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from congruon.arith import CongruonError, is_prime
 from congruon.cli import main
-from congruon.hecke_io import export_class
+from congruon.hecke_io import export_class, parse_dataset, result_lines
 from congruon.intpoly import IntPoly
 from congruon.modsym import newform_classes
-from congruon.pipeline import sturm_bound
+from congruon.pipeline import (
+    ComparisonOptions,
+    compare_newforms,
+    eisenstein_scan,
+    sturm_bound,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "charpolys.txt"
 LEVELS = [*range(11, 121), 155, 233]
@@ -52,6 +70,8 @@ CONGPOLY_SEED = 20091
 CLUSTER_PRIMES = (2, 3, 5, 7)
 # Largest cluster scale ell^k per residue prime.
 MAX_SCALE_EXPONENT = {2: 3, 3: 2, 5: 1, 7: 1}
+GOLDEN_COMPARE = Path(__file__).parent / "golden" / "compare.txt"
+OLDSPACE_LEVELS = [90, 110, 114, 130, 155]
 
 
 def golden_text(levels=LEVELS):
@@ -138,6 +158,85 @@ def congpoly_text(runs=None):
     return "".join(out)
 
 
+def _golden_classes():
+    """Classes by level, read back from the charpoly golden files, which
+    hold each level's Sturm primes."""
+    by_level = {}
+    for path in (GOLDEN, GOLDEN_MID, GOLDEN_HIGH):
+        for cls in parse_dataset(path.read_text()).forms:
+            by_level.setdefault(cls.level, []).append(cls)
+    return dict(sorted(by_level.items()))
+
+
+def _block(label, lines, *args):
+    """One run under its `$ ` line: the lines `lines(*args)` returns, or the
+    refusal it raises."""
+    try:
+        out = lines(*args)
+    except CongruonError as e:
+        out = [f"error: {e} (exit {e.exit_code})"]
+    return "".join(f"{line}\n" for line in [f"$ {label}", *out])
+
+
+def _compare(f, g, **options):
+    """`congforms` on f and g, labelled with the option fields it sets."""
+    fields = [f"{k}={v}" for k, v in options.items()]
+    opts = ComparisonOptions(**options) if options else None
+    return _block(
+        " ".join(["congforms", f.id, g.id, *fields]),
+        lambda: result_lines(compare_newforms(f, g, opts)),
+    )
+
+
+def _pairs(classes):
+    return [(f, g) for i, f in enumerate(classes) for g in classes[i + 1 :]]
+
+
+def _eis_lines(cls, cutoff):
+    entries = eisenstein_scan(cls, prime_cutoff_override=cutoff)
+    return [f"EIS id={cls.id} none"] * (not entries) + [
+        f"EIS id={cls.id} ell={e.ell} n={e.exponent} mazur={e.mazur_valuation}"
+        for e in entries
+    ]
+
+
+def compare_text():
+    golden = _golden_classes()
+    engine = {n: newform_classes(n) for n in (11, 31, 71, 155)}
+    out = [
+        _compare(f, g)
+        for n, classes in golden.items()
+        if n <= 160
+        for f, g in _pairs(classes)
+    ]
+    for n in OLDSPACE_LEVELS:
+        for d in range(11, n):
+            if n % d == 0:
+                for f in newform_classes(d):
+                    out += [_compare(f, g, assert_irreducible=True) for g in golden[n]]
+    variants = [
+        (golden[71], {"prime_cutoff_override": 7}),
+        (engine[71], {"prime_cutoff_override": 19}),
+        (golden[71], {"skip_t_ell": True}),
+        (golden[155], {"include_p_dividing_levels": True}),
+        (golden[155], {"prime_cutoff_override": 7}),
+        (engine[155], {"prime_cutoff_override": 37, "skip_t_ell": True}),
+    ]
+    for classes, options in variants:
+        out += [_compare(f, g, **options) for f, g in _pairs(classes)]
+    for options in (
+        {"assert_irreducible": True, "include_p_dividing_levels": True},
+        {"assert_irreducible": True, "prime_cutoff_override": 13},
+    ):
+        out += [_compare(f, g, **options) for f in engine[31] for g in golden[155]]
+    eis = [(cls, None) for n in golden if is_prime(n) for cls in golden[n]]
+    eis += [(cls, 13) for cls in engine[11] + engine[71]]
+    for cls, cutoff in eis:
+        label = f"eisenstein {cls.id}" + (f" --cutoff {cutoff}" if cutoff else "")
+        out.append(_block(label, _eis_lines, cls, cutoff))
+    return "".join(out)
+
+
 def test_engine_reproduces_golden_charpolys():
     assert golden_text() == GOLDEN.read_text()
 
@@ -152,6 +251,10 @@ def test_engine_reproduces_golden_charpolys_mid_levels():
 
 def test_solver_reproduces_golden_congpoly():
     assert congpoly_text() == GOLDEN_CONGPOLY.read_text()
+
+
+def test_pipeline_reproduces_golden_compare():
+    assert compare_text() == GOLDEN_COMPARE.read_text()
 
 
 def _neg_prem(a, b):

@@ -5,7 +5,7 @@ Dataset lines ('#' starts a comment):
     CP id=<token> p=<prime> coeffs=<c0>,<c1>,...,<cd>
 Results lines:
     # cmp f=<token> g=<token> opts=<hash>[ insufficient-primes][ excluded=<p>,...][ shared=<p>,...]
-    RESULT f=<token> g=<token> Lminus=<int> Lplus=<int> sturm=<num>/<den> hyp314=<0|1> skipTl=<0|1>
+    RESULT f=<token> g=<token> Lminus=<int> Lplus=<int> sturm=<num>/<den> hyp314=1 skipTl=<0|1>
     DETAIL f=<token> g=<token> p=<prime> c=<int> d=<int> method=<cn|np|oldspace>
 
 The '# cmp' line opens each record. Its <hash> is the first 12 hex digits
@@ -79,7 +79,6 @@ class ComparisonRecord:
     l_plus: int
     sturm: Fraction
     per_prime: tuple
-    hypothesis_3_14_conditional: bool = True
     skipped_t_ell: bool = False
     insufficient_primes: bool = False
     excluded_primes: tuple = ()
@@ -215,7 +214,7 @@ def result_lines(record):
         f"RESULT f={record.f_id} g={record.g_id} "
         f"Lminus={record.l_minus} Lplus={record.l_plus} "
         f"sturm={record.sturm.numerator}/{record.sturm.denominator} "
-        f"hyp314={int(record.hypothesis_3_14_conditional)} "
+        "hyp314=1 "
         f"skipTl={int(record.skipped_t_ell)}"
     )
     for det in record.per_prime:

@@ -79,8 +79,7 @@ def oldspace_charpoly(p_poly, r, delta, p, k):
     """Charpoly of T_p on the old space spanned by r+1 degeneracy images.
 
     For P = sum c_i X^i monic of degree d, returns
-    sum_i c_i * X^(d*r - i*r) * (X^2 + delta*p^(k-1))^i ... with the
-    convention that the i-th coefficient multiplies X^(dr-i)(X^2+delta p^(k-1))^i.
+    sum_i c_i X^(dr - i) (X^2 + delta p^(k-1))^i, monic of degree d(r+1).
     """
     if not p_poly.is_monic or p_poly.degree < 1:
         raise ValueError("P must be monic of degree >= 1")
@@ -104,33 +103,6 @@ def _record(pf, pg):
         return congruence_number(pf, pg)
     except NotCoprimeError:
         return None
-
-
-def _exponent_entries(f, g, records, p_of_m, ell_set, opts, m, k):
-    """d_p(ell) tables for step 2 (plain) and step 3 (old-space at p | m)."""
-    plain = {}
-    methods = {}
-    for p, rec in records.items():
-        if rec is None:
-            continue
-        plain[p] = {}
-        methods[p] = set()
-        for ell in ell_set:
-            d, method = rec.exponent(ell)
-            plain[p][ell] = d
-            methods[p].add(method)
-    old = {}
-    if opts.assert_irreducible and m > 1:
-        for p in p_of_m:
-            r = valuation(p, m)
-            delta = 0 if f.level % p == 0 else 1
-            tilde = oldspace_charpoly(f.class_charpoly(p), r, delta, p, k)
-            rec = _record(tilde, g.class_charpoly(p))
-            if rec is None:
-                continue
-            old[p] = {ell: rec.exponent(ell)[0] for ell in ell_set}
-            methods.setdefault(p, set()).add("oldspace")
-    return plain, old, methods
 
 
 def compare_newforms(f, g, opts=None):
@@ -172,54 +144,58 @@ def compare_newforms(f, g, opts=None):
     if opts.include_p_dividing_levels:
         good = good + excluded
         excluded = []
+    if not good:
+        raise PreconditionError(
+            "no usable primes: every prime up to the Sturm bound or cutoff "
+            "divides a level"
+        )
 
     # Step 1: congruence numbers at the good primes.
     records = {p: _record(f.class_charpoly(p), g.class_charpoly(p)) for p in good}
     shared = [p for p in good if records[p] is None]
-    good = [p for p in good if records[p] is not None]
-    if not good:
+    used = [p for p in good if records[p] is not None]
+    if not used:
         raise NotCoprimeError("not coprime: the charpolys agree at every usable prime")
-    l_plus = modified_gcd_combine([(p, records[p].c) for p in good])
+    l_plus = modified_gcd_combine([(p, records[p].c) for p in used])
     for p in p_of_m:
         records[p] = _record(f.class_charpoly(p), g.class_charpoly(p))
-
     ell_set = sorted(factorize(l_plus)) if l_plus > 1 else []
-    plain, old, methods = _exponent_entries(f, g, records, p_of_m, ell_set, opts, m, k)
 
+    # One row per prime: its c_p, its plain exponents d_p(ell) (None where
+    # the charpolys share a root), the exponents step 3 reads (old-space at
+    # p | m when asserted) and the route that fixed the latter.
+    rows = {}
+    for p, rec in sorted(records.items()):
+        plain, methods = None, set()
+        if rec is not None:
+            plain = {}
+            for ell in ell_set:
+                plain[ell], method = rec.exponent(ell)
+                methods.add(method)
+        step3, route = plain, "np" if "np" in methods else "cn"
+        if opts.assert_irreducible and p in p_of_m:
+            delta = 0 if f.level % p == 0 else 1
+            tilde = oldspace_charpoly(f.class_charpoly(p), valuation(p, m), delta, p, k)
+            old = _record(tilde, g.class_charpoly(p))
+            if old is not None:
+                step3 = {ell: old.exponent(ell)[0] for ell in ell_set}
+                route = "oldspace"
+        rows[p] = (0 if rec is None else rec.c, plain, step3, route)
+
+    has_old = any(route == "oldspace" for *_, route in rows.values())
     l_minus = 1
     for ell in ell_set:
-        pool1 = [plain[p][ell] for p in plain if p != ell]
-        e1 = min(pool1) if pool1 else 0
+        others = [row for p, row in rows.items() if p != ell]
+        e1 = min((d[ell] for _, d, _, _ in others if d is not None), default=0)
         e2 = 0
-        if old and valuation(ell, l_plus) != e1:
-            pool2 = [
-                (old[p][ell] if p in old else plain[p][ell])
-                for p in set(plain) | set(old)
-                if p != ell
-            ]
-            e2 = min(pool2) if pool2 else 0
+        if has_old and valuation(ell, l_plus) != e1:
+            e2 = min((d[ell] for _, _, d, _ in others if d is not None), default=0)
         l_minus *= ell ** max(e1, e2)
 
     details = []
-    for p in good + p_of_m:
-        if p not in plain and p not in old:
-            details.append(PerPrimeDetail(p, 0, 0, "cn"))
-            continue
-        d_val = 1
-        for ell in ell_set:
-            e = old[p][ell] if p in old else plain[p][ell]
-            d_val *= ell**e
-        if p in old:
-            method = "oldspace"
-        elif "np" in methods.get(p, set()):
-            method = "np"
-        else:
-            method = "cn"
-        c_val = records[p].c if records[p] is not None else 0
-        details.append(PerPrimeDetail(p, c_val, d_val, method))
-    for p in shared:
-        details.append(PerPrimeDetail(p, 0, 0, "cn"))
-    details.sort(key=lambda det: det.p)
+    for p, (c, _, d, route) in rows.items():
+        d_val = 0 if d is None else math.prod(ell**e for ell, e in d.items())
+        details.append(PerPrimeDetail(p, c, d_val, route))
 
     return ComparisonRecord(
         f_id=f.id or "f",
@@ -228,7 +204,6 @@ def compare_newforms(f, g, opts=None):
         l_plus=l_plus,
         sturm=sb.bound,
         per_prime=tuple(details),
-        hypothesis_3_14_conditional=True,
         skipped_t_ell=opts.skip_t_ell,
         insufficient_primes=insufficient,
         excluded_primes=tuple(excluded),
@@ -250,42 +225,36 @@ def check_eisenstein_level(n):
         raise PreconditionError("Eisenstein scan needs a prime level")
 
 
-def eisenstein_scan(f, prime_cutoff_override=None):
-    """Congruences with the weight-2 Eisenstein series at prime level.
+class _Eisenstein:
+    """The weight-2 Eisenstein series at level N as `compare_newforms` reads
+    it: T_p = 1 + p, so its T_p charpoly is X - (1+p)."""
 
-    Returns EisensteinEntry rows: for each residue prime ell dividing the
-    modified gcd of the congruence numbers, the min over good p (p != ell)
-    of the exact congruence exponent of (P_{f,p}, X - (1+p)), together with
+    weight = 2
+    id = None
+
+    def __init__(self, level):
+        self.level = level
+
+    def class_charpoly(self, p):
+        return IntPoly([-(1 + p), 1])
+
+
+def eisenstein_scan(f, prime_cutoff_override=None):
+    """Congruences with the weight-2 Eisenstein series E at prime level N.
+
+    Compares f with E. Returns an EisensteinEntry per residue prime ell
+    dividing L+: the exponent is v_ell(L-), the min over good p != ell of the
+    exact congruence exponent of (P_{f,p}, X - (1+p)), together with
     v_ell(numerator((N-1)/12)) for context.
     """
-    n = f.level
-    check_eisenstein_level(n)
-    if f.weight != 2:
-        raise PreconditionError("Eisenstein scan is weight-2 only")
-    sb = sturm_bound(n, 2)
-    primes = (
-        primes_upto(prime_cutoff_override)
-        if prime_cutoff_override is not None
-        else sb.primes
-    )
-    good = [p for p in primes if p != n]
-    if not good:
-        raise PreconditionError(
-            "insufficient primes below the Sturm bound; pass a cutoff override"
-        )
-    records = {}
-    for p in good:
-        rec = _record(f.class_charpoly(p), IntPoly([-(1 + p), 1]))
-        if rec is not None:
-            records[p] = rec
-    combined = modified_gcd_combine(sorted((p, rec.c) for p, rec in records.items()))
-    mazur = Fraction(n - 1, 12)
-    out = []
-    for ell in sorted(factorize(combined)) if combined > 1 else []:
-        pool = [rec.exponent(ell)[0] for p, rec in records.items() if p != ell]
-        exponent = min(pool) if pool else 0
-        out.append(EisensteinEntry(ell, exponent, valuation(ell, mazur.numerator)))
-    return out
+    check_eisenstein_level(f.level)
+    opts = ComparisonOptions(prime_cutoff_override=prime_cutoff_override)
+    record = compare_newforms(f, _Eisenstein(f.level), opts)
+    mazur = Fraction(f.level - 1, 12).numerator
+    return [
+        EisensteinEntry(ell, valuation(ell, record.l_minus), valuation(ell, mazur))
+        for ell in sorted(factorize(record.l_plus))
+    ]
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,24 @@ def test_congforms_missing_charpoly(runner, tmp_path):
     assert r.stderr == "error: charpoly for p=3 not available on class f\n"
 
 
+def test_congforms_no_usable_prime(runner, tmp_path):
+    """Every prime up to the cutoff divides the level 210 = 2*3*5*7, so no
+    charpoly is compared (the classes hold none): a precondition, not a
+    "not coprime" refusal."""
+    path = tmp_path / "d.txt"
+    path.write_text(
+        "FORM id=f level=210 weight=2 degree=1\nFORM id=g level=210 weight=2 degree=1\n"
+    )
+    r = _run(
+        runner, ["congforms", "--f", f"{path}#f", "--g", f"{path}#g", "--cutoff", "7"]
+    )
+    assert r.exit_code == 5
+    assert r.stderr == (
+        "error: no usable primes: every prime up to the Sturm bound or cutoff "
+        "divides a level\n"
+    )
+
+
 @pytest.mark.parametrize(
     "form, coeffs, extra",
     [

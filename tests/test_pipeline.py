@@ -195,6 +195,21 @@ def test_eisenstein_scan_level_11():
     assert Fraction(11 - 1, 12) == Fraction(5, 6)
 
 
+def test_eisenstein_scan_refusals():
+    """A class whose charpoly is X - (1+p) at every good prime is congruent
+    to E everywhere (exit 3); level 2 with cutoff 2 has no usable prime
+    (exit 5)."""
+    e_like = NewformClass(
+        11, 2, 1, charpolys={2: IntPoly([-3, 1]), 3: IntPoly([-4, 1])}, class_id="e"
+    )
+    with pytest.raises(NotCoprimeError) as exc:
+        eisenstein_scan(e_like, prime_cutoff_override=3)
+    assert exc.value.exit_code == 3
+    with pytest.raises(PreconditionError) as exc:
+        eisenstein_scan(NewformClass(2, 2, 1, class_id="two"), prime_cutoff_override=2)
+    assert exc.value.exit_code == 5
+
+
 def test_eisenstein_requires_prime_level():
     classes = newform_classes(26)
     with pytest.raises(PreconditionError, match="prime level"):

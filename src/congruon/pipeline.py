@@ -159,7 +159,7 @@ def compare_newforms(f, g, opts=None):
     l_plus = modified_gcd_combine([(p, records[p].c) for p in used])
     for p in p_of_m:
         records[p] = _record(f.class_charpoly(p), g.class_charpoly(p))
-    ell_set = sorted(factorize(l_plus)) if l_plus > 1 else []
+    ell_set = sorted(factorize(l_plus))
 
     # One row per prime: its c_p, its plain exponents d_p(ell) (None where
     # the charpolys share a root), the exponents step 3 reads (old-space at

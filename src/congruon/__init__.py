@@ -10,7 +10,6 @@ from .congruence import (
     difference_root_poly,
 )
 from .intpoly import FactorizationCapError, IntPoly, factor_over_z
-from .padic import newton_polygon
 
 __all__ = [
     "CongruenceBounds",
@@ -23,7 +22,6 @@ __all__ = [
     "congruence_number",
     "difference_root_poly",
     "factor_over_z",
-    "newton_polygon",
 ]
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Two routes: the congruence-number method (exact in the favourable cases of
 the reduction criteria) and the Newton-polygon method on the root-difference
 polynomial F(Y) (always exact). The congruence number and its cofactors come
 from one m x m fraction-free solve in Z[X]/(M), M the input of smaller
-degree m. F is a composed sum built from power sums in int, so the second
-route costs O((deg P * deg Q)^2) integer operations.
+degree m. F is a composed sum built from power sums in int, and the second
+route reads only the first slope of F's polygon off its coefficients, so it
+costs O((deg P * deg Q)^2) integer operations.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from math import comb, lcm
 from .arith import CongruonError, is_prime, valuation
 from .intpoly import IntPoly, _pm_gcd, _pm_trim, factor_over_z, gcd_over_q
 from .linalg import rref
-from .padic import exponent_from_slope, newton_polygon
 
 
 class PreconditionError(CongruonError, ValueError):
@@ -88,11 +88,7 @@ class CongruenceNumberResult:
     def _newton_exponent(self, ell):
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
-        polygon = newton_polygon(ell, self._difference_poly)
-        top = polygon.max_slope
-        if top is None or top <= 0:
-            return 0
-        return exponent_from_slope(top)
+        return _first_slope_exponent(ell, self._difference_poly)
 
     @cached_property
     def _bounds(self):
@@ -115,6 +111,19 @@ class CongruenceNumberResult:
         f = difference_root_poly(self.p, self.q)
         assert f[0] != 0, "coprime inputs must give F(0) != 0"
         return f
+
+
+def _first_slope_exponent(ell, f):
+    """ceil of the first slope of the Newton polygon at ell of monic f with
+    f(0) != 0: the largest ceil(v_ell(y)) over the roots y of f. The polygon
+    starts at (0, v_ell(a_0)), so the slope is the maximum over i >= 1 with
+    a_i != 0 of (v_ell(a_0) - v_ell(a_i)) / i, and ceil commutes with max.
+    The term at i = deg f, where a_i = 1, is >= 0, so no clamp is needed.
+    """
+    v0 = valuation(ell, f[0])
+    return max(
+        (v0 - valuation(ell, a) + i - 1) // i for i, a in enumerate(f.coeffs) if i and a
+    )
 
 
 @lru_cache(maxsize=1024)

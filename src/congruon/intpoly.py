@@ -520,19 +520,19 @@ def _factor_squarefree(f, cap):
     return result
 
 
-def factor_over_z(f, cap=None):
+def factor_over_z(f):
     """Factor a nonzero primitive polynomial into irreducibles over Q.
 
     Returns (factor, multiplicity) pairs; factors are primitive with positive
     leading coefficients, and the product of factor^multiplicity is +-f.
     Squarefree decomposition first, then modular factorization, Hensel
-    lifting and subset recombination per squarefree part. The cap bounds the
-    degree of any squarefree part handed to the recombination stage.
+    lifting and subset recombination per squarefree part. The cap,
+    factor_cap(), bounds the degree of any squarefree part handed to the
+    recombination stage.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if cap is None:
-        cap = factor_cap()
+    cap = factor_cap()
     f = f.primitive_part()
     if f.degree == 0:
         return []

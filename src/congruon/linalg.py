@@ -77,12 +77,9 @@ def rref(rows):
     return [[_exact(x, row[j]) for x in row] for row, j in zip(a, pivots)], pivots
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {v : A v = 0} as a list of primitive integer vectors."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Basis of {v : A v = 0} for A with ncols columns, as a list of
+    primitive integer vectors."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]

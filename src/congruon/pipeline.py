@@ -30,10 +30,9 @@ class SturmBound:
 
     @property
     def primes(self):
-        """Primes p <= B by exact rational comparison (p == B included)."""
-        if self.bound < 2:
-            return []
-        return [p for p in primes_upto(int(self.bound)) if p <= self.bound]
+        """Primes p <= B, p == B included: for an integer p >= 2, p <= B
+        exactly when p <= int(B), and a B below 2 gives none."""
+        return primes_upto(self.bound)
 
 
 @dataclass
@@ -123,11 +122,10 @@ def compare_newforms(f, g, opts=None):
     k = f.weight
     level = math.lcm(f.level, g.level)
     sb = sturm_bound(level, k)
-    insufficient = not sb.primes
+    primes = sb.primes
+    insufficient = not primes
     if opts.prime_cutoff_override is not None:
         primes = primes_upto(opts.prime_cutoff_override)
-    else:
-        primes = sb.primes
     if not primes:
         raise PreconditionError(
             "insufficient primes below the Sturm bound; pass a cutoff override"

@@ -433,16 +433,28 @@ def test_oracle_suite_split_polynomials():
         checked += 1
 
 
+# (P, Q, ell, exponent, case-analysis bounds): irrational pairs whose top
+# root-difference valuation is fractional, so the bounds leave a range and
+# the np route rounds the slope up.
+RAMIFIED_PAIRS = [
+    # roots +-sqrt(2), +-3 sqrt(2): differences 2 sqrt(2), 4 sqrt(2) have
+    # v_2 = 3/2, 5/2, so the exponent is ceil(5/2) = 3
+    ([-2, 0, 1], [-18, 0, 1], 2, 3, (2, 4)),
+    ([-2, 0, 1], [-50, 0, 1], 2, 3, (2, 4)),  # top slope 5/2
+    ([-2, 0, 1], [-10, 0, 1], 2, 2, (2, 3)),  # top slope 3/2
+    ([-3, 0, 1], [-12, 0, 1], 3, 2, (1, 2)),  # top slope 3/2
+    ([-6, -6, 0, 1], [-6, 2, 0, 1], 2, 3, (1, 4)),  # top slope 8/3
+    ([-6, -6, 0, 1], [-6, 3, 0, 1], 3, 2, (1, 3)),  # top slope 4/3
+]
+
+
 def test_newton_route_handles_ramified_differences():
-    # X^2 - 2 vs X^2 - 2 - 8: roots differ by units times sqrt issues; just
-    # check both routes agree on irrational pairs via the exact method
-    p = IntPoly([-2, 0, 1])
-    q = IntPoly([-18, 0, 1])  # roots +-3*sqrt(2); differences 2sqrt2, 4sqrt2
-    # v_2(4*sqrt(2)) = 2.5 -> exponent ceil = 3; v_2(2 sqrt 2) = 1.5
-    rec = congruence_number(p, q)
-    assert rec._newton_exponent(2) == 3
-    n, _ = rec.exponent(2)
-    assert n == 3
+    for p, q, ell, n, bounds in RAMIFIED_PAIRS:
+        rec = congruence_number(IntPoly(p), IntPoly(q))
+        got = rec.bounds(ell)
+        assert (got.lower, got.upper) == bounds, (p, q, ell)
+        assert rec._newton_exponent(ell) == n, (p, q, ell)
+        assert rec.exponent(ell) == (n, "np"), (p, q, ell)
 
 
 def test_solve_with_repeated_factors():

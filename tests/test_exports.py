@@ -13,7 +13,6 @@ EXPORTS = [
     "congruence_number",
     "difference_root_poly",
     "factor_over_z",
-    "newton_polygon",
 ]
 
 

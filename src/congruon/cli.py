@@ -38,7 +38,7 @@ def _pretty(poly):
 
 
 def _poly_out(poly, pretty):
-    return _pretty(poly) if pretty else ",".join(str(c) for c in poly.coeffs)
+    return _pretty(poly) if pretty else ",".join(str(c) for c in poly.coeffs) or "0"
 
 
 def _load_form(spec):

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from math import comb, lcm
 
 from .arith import CongruonError, is_prime, valuation
-from .intpoly import IntPoly, _pm_gcd, _pm_trim, factor_over_z, gcd_over_q
+from .intpoly import IntPoly, coprime_mod, factor_over_z, gcd_over_q
 from .linalg import rref
 
 
@@ -194,31 +194,12 @@ def congruence_number(p, q):
     return CongruenceNumberResult(c, r, s, p, q)
 
 
-def _reduce_mod(poly, ell):
-    return [c % ell for c in poly.coeffs]
-
-
-def _gcd_mod(a, b, ell):
-    """Monic gcd of the reductions modulo ell (coefficient lists)."""
-    return _pm_gcd(_pm_trim(list(a)), _pm_trim(list(b)), ell)
-
-
-def _squarefree_mod(poly, ell):
-    red = _reduce_mod(poly, ell)
-    dred = _reduce_mod(poly.derivative(), ell)
-    return len(_gcd_mod(red, dred, ell)) == 1
-
-
-def _coprime_mod(a, b, ell):
-    return len(_gcd_mod(_reduce_mod(a, ell), _reduce_mod(b, ell), ell)) == 1
-
-
 def common_root_mod_ell(p, q, ell):
     """True iff the reductions of P and Q mod ell share a nontrivial factor."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     by_number = congruence_number(p, q).c % ell == 0
-    by_gcd = not _coprime_mod(p, q, ell)
+    by_gcd = not coprime_mod(p, q, ell)
     assert by_number == by_gcd, "congruence number disagrees with mod-ell gcd"
     return by_number
 
@@ -232,18 +213,18 @@ def _bounds_irreducible_pair(res, ell):
         return CongruenceBounds(ell, 0, 0, True, "a")
     if n == 1:
         return CongruenceBounds(ell, 1, 1, True, "b")
-    p_sqf = _squarefree_mod(p, ell)
-    q_sqf = _squarefree_mod(q, ell)
+    p_sqf = coprime_mod(p, p.derivative(), ell)
+    q_sqf = coprime_mod(q, q.derivative(), ell)
     if p_sqf and q_sqf:
         return CongruenceBounds(ell, n, n, True, "c-i")
-    if q_sqf and _coprime_mod(res.s, q, ell):
+    if q_sqf and coprime_mod(res.s, q, ell):
         return CongruenceBounds(ell, n, n, True, "c-ii")
-    if p_sqf and _coprime_mod(res.r, p, ell):
+    if p_sqf and coprime_mod(res.r, p, ell):
         return CongruenceBounds(ell, n, n, True, "c-iii")
-    if _coprime_mod(res.s, q, ell):
+    if coprime_mod(res.s, q, ell):
         m = -(-n // q.degree)
         return CongruenceBounds(ell, m, n, m == n, "d-i")
-    if _coprime_mod(res.r, p, ell):
+    if coprime_mod(res.r, p, ell):
         m = -(-n // p.degree)
         return CongruenceBounds(ell, m, n, m == n, "d-ii")
     return CongruenceBounds(ell, 1, n, n == 1, "d-iii")

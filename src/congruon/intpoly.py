@@ -28,11 +28,14 @@ def factor_cap():
     if not env:
         return DEFAULT_FACTOR_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise CongruonError(
             f"CONGRUON_FACTOR_CAP must be an integer, got {env!r}"
         ) from None
+    if cap < 1:
+        raise CongruonError(f"CONGRUON_FACTOR_CAP must be at least 1, got {cap}")
+    return cap
 
 
 class IntPoly:
@@ -439,6 +442,14 @@ def _hensel_lift_list(f, modular_factors, p, target):
     return rec([c % q for c in f.coeffs], modular_factors)
 
 
+def coprime_mod(a, b, p):
+    """True iff the reductions of a and b modulo the prime p are coprime in
+    F_p[X]; a is squarefree modulo p iff coprime_mod(a, a.derivative(), p)."""
+    ap = _pm_trim([c % p for c in a.coeffs])
+    bp = _pm_trim([c % p for c in b.coeffs])
+    return len(_pm_gcd(ap, bp, p)) == 1
+
+
 def _symmetric(c, m):
     c %= m
     return c - m if c > m // 2 else c
@@ -461,11 +472,9 @@ def _choose_prime(f):
     while tried < 5:
         while not is_prime(p) or f.leading % p == 0:
             p += 2
-        fp = _pm_trim([c % p for c in f.coeffs])
-        dfp = _pm_trim([c % p for c in f.derivative().coeffs])
-        if len(_pm_gcd(fp, dfp, p)) == 1:
-            inv = pow(fp[-1], -1, p)
-            fp_monic = [c * inv % p for c in fp]
+        if coprime_mod(f, f.derivative(), p):
+            inv = pow(f.leading, -1, p)
+            fp_monic = [c * inv % p for c in f.coeffs]
             pieces = _distinct_degree(fp_monic, p)
             nfacs = sum((len(g) - 1) // d for g, d in pieces)
             candidates.append((nfacs, p, pieces))

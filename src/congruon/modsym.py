@@ -25,7 +25,6 @@ polynomials come out integral.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arith import CongruonError, divisors, euler_phi, factorize, index_gamma0
 from .arith import is_prime, prime_divisors, primes_upto, xgcd
@@ -184,28 +183,25 @@ def lift_to_sl2z(c, d, n):
 
 
 class _CuspList:
-    """Cusp classes for Gamma0(N), discovered lazily via the equivalence test."""
+    """Cusp classes of Gamma0(N), numbered in the order first met. The class
+    of a/c, gcd(a, c) = 1, is keyed by (d, a * c/d mod g), d = gcd(c, N) and
+    g = gcd(d, N/d): Gamma0(N) keeps d and multiplies a and c/d modulo g by
+    mutually inverse units. Each (d, u), u a unit mod g, is the key of some
+    u'/d, so there are sum over d | N of phi(g) keys, one per class.
+    Cremona's pairwise test, the reference, is in tests/test_modsym.py."""
 
     def __init__(self, n):
         self.n = n
-        self._list = []
+        self._number = {}
 
     def __len__(self):
-        return len(self._list)
+        return len(self._number)
 
-    def is_equiv(self, p, q):
-        u1, v1 = p
-        u2, v2 = q
-        s1 = xgcd(u1, v1)[1]
-        s2 = xgcd(u2, v2)[1]
-        return (s1 * v2 - s2 * v1) % math.gcd(self.n, (v1 * v2) % self.n) == 0
-
-    def index(self, p):
-        for i, c in enumerate(self._list):
-            if self.is_equiv(p, c):
-                return i
-        self._list.append(p)
-        return len(self._list) - 1
+    def index(self, cusp):
+        a, c = cusp
+        d = math.gcd(c, self.n)
+        key = d, a * (c // d) % math.gcd(d, self.n // d)
+        return self._number.setdefault(key, len(self._number))
 
 
 def _cusp_invariants(n):
@@ -228,23 +224,16 @@ def _cusp_invariants(n):
             if p == 3:
                 continue
             nu3 *= 1 + (1 if p % 3 == 1 else -1)
-    nu_inf = 0
-    for d in divisors(n):
-        g = math.gcd(d, n // d)
-        nu_inf += euler_phi(g)
+    nu_inf = sum(euler_phi(math.gcd(d, n // d)) for d in divisors(n))
     return b, nu2, nu3, nu_inf
 
 
 def genus_x0(n):
-    """Genus of the modular curve X0(N) by the standard formula."""
+    """Genus g of X0(N), from 12g = 12 + b - 3 nu2 - 4 nu3 - 6 nu_inf."""
     b, nu2, nu3, nu_inf = _cusp_invariants(n)
-    g = Fraction(1) + Fraction(b, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
-    assert g.denominator == 1
-    return int(g)
-
-
-def _int_if_integral(x):
-    return x.numerator if x.denominator == 1 else x
+    g, r = divmod(12 + b - 3 * nu2 - 4 * nu3 - 6 * nu_inf, 12)
+    assert r == 0
+    return g
 
 
 def _subtract(row, f, other):
@@ -265,7 +254,8 @@ def _sparse_rref(rows):
     found so far, its least column becomes its pivot, scaled to 1, and that
     column is cleared from the earlier rows. Every row is then nonzero only
     at its pivot and at later non-pivot columns, so the result is the unique
-    reduced echelon form. Entries are int where integral, else Fraction.
+    reduced echelon form. Each pivot must divide its row, so the entries stay
+    int; the three-term relations meet this at every level up to 1000.
     """
     pivot_rows = {}
     for row in rows:
@@ -277,7 +267,8 @@ def _sparse_rref(rows):
         pivot = min(row)
         c = row[pivot]
         if c != 1:
-            row = {k: x // c if x % c == 0 else Fraction(x, c) for k, x in row.items()}
+            assert all(x % c == 0 for x in row.values()), "pivot does not divide its row"
+            row = {k: x // c for k, x in row.items()}
         for target in pivot_rows.values():
             if pivot in target:
                 _subtract(target, target[pivot], row)
@@ -343,7 +334,7 @@ class ModSymSpace:
         position = {k: pos for pos, k in enumerate(free)}
         for pj, row in pivot_rows.items():
             expr[pj] = tuple(
-                (position[k], -_int_if_integral(x))
+                (position[k], -x)
                 for k, x in sorted(row.items())
                 if k != pj
             )

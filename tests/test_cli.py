@@ -101,6 +101,18 @@ def test_congpoly_pretty(runner):
     assert r.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [(["1", "0,1"], "c=1 r=1 s=0"), (["0,1", "1"], "c=1 r=0 s=1")],
+)
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["plain", "pretty"])
+def test_congpoly_zero_cofactor_prints_0(runner, args, line, pretty):
+    """A constant input makes a cofactor 0, printed as 0 in both modes."""
+    r = _run(runner, ["congpoly", *args, *pretty])
+    assert r.exit_code == 0
+    assert r.output == line + "\n"
+
+
 def test_congpoly_parse_error(runner):
     assert _run(runner, ["congpoly", "12,1"]).exit_code == 2
     assert _run(runner, ["congpoly", "12,1", "x,1"]).exit_code == 2
@@ -262,6 +274,14 @@ def test_factor_cap_not_an_integer(runner):
     r = _run(runner, ["charpoly", "--level", "11"], env={"CONGRUON_FACTOR_CAP": "abc"})
     assert r.exit_code == 2
     assert "error: CONGRUON_FACTOR_CAP must be an integer" in r.stderr
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_factor_cap_below_one(runner, cap):
+    r = _run(runner, ["charpoly", "--level", "23"], env={"CONGRUON_FACTOR_CAP": cap})
+    assert r.exit_code == 2
+    assert r.stderr == f"error: CONGRUON_FACTOR_CAP must be at least 1, got {cap}\n"
+    assert r.stdout == ""
 
 
 # --- congforms ---------------------------------------------------------------

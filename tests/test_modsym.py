@@ -351,6 +351,42 @@ def test_cusp_count_matches_oracle():
         assert len(cusps) == _oracle_invariants(n)[2]
 
 
+def _cremona_equivalent(n, p, q):
+    """Cremona's pairwise test (Algorithms for Modular Elliptic Curves, 2.2):
+    the cusps u1/v1 and u2/v2 are Gamma0(N)-equivalent iff
+    s1 v2 = s2 v1 mod gcd(v1 v2, N), with s_i u_i = 1 mod v_i."""
+    u1, v1 = p
+    u2, v2 = q
+    s1 = xgcd(u1, v1)[1]
+    s2 = xgcd(u2, v2)[1]
+    return (s1 * v2 - s2 * v1) % math.gcd(n, (v1 * v2) % n) == 0
+
+
+def test_cusp_numbering_matches_pairwise_reference():
+    """The boundary map numbers the cusps it meets by their class key. A scan
+    with Cremona's pairwise test over the classes met so far numbers them the
+    same way, in the same order, and gives the same boundary matrix."""
+    for n in [*range(1, 151), 600, 1008]:
+        space = build_space(n, cap=n)
+        cusps, boundary = space.boundary_data()
+        met = []
+        want = [[0] * space.dimension for _ in range(len(cusps))]
+        for col, (c, d) in enumerate(space.generator_symbols()):
+            for sc in (c, -c):
+                a, b, cc, dd = lift_to_sl2z(sc, d, n)
+                for cusp, sign in (((a, cc), 1), ((b, dd), -1)):
+                    i = next(
+                        (i for i, x in enumerate(met) if _cremona_equivalent(n, cusp, x)),
+                        len(met),
+                    )
+                    if i == len(met):
+                        met.append(cusp)
+                    assert cusps.index(cusp) == i, (n, cusp)
+                    want[i][col] += sign
+        assert len(met) == len(cusps)
+        assert boundary == want, n
+
+
 def _a_p(ainvs, p):
     """p + 1 - #E(F_p) for E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6,
     by counting points (an independent oracle for T_p at good primes)."""

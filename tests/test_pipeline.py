@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from congruon.arith import valuation
+from congruon.arith import factorize, primes_upto, valuation
 from congruon.intpoly import IntPoly
 from congruon.modsym import NewformClass, newform_classes
 from congruon.pipeline import (
@@ -193,6 +193,31 @@ def test_eisenstein_scan_level_11():
     e = entries[0]
     assert e.ell == 5 and e.exponent >= 1 and e.mazur_valuation == 1
     assert Fraction(11 - 1, 12) == Fraction(5, 6)
+
+
+def test_eisenstein_scan_meets_mazur_at_odd_ell():
+    """Mazur (the Eisenstein ideal at prime N): for ell >= 3, some class at N
+    is congruent to E modulo ell iff ell divides the numerator of (N-1)/12.
+    Checked at every prime N <= 160 with a usable Sturm prime; 11 has none.
+    ell = 2 is left unpinned: the scan skips p = ell, and at 17, 31, 43 and
+    67 its entries at 2 disagree with the numerator."""
+    pairs = 0
+    for n in primes_upto(160):
+        classes = newform_classes(n)
+        if n == 11:
+            with pytest.raises(PreconditionError, match="insufficient"):
+                eisenstein_scan(classes[0])
+            continue
+        found = {
+            e.ell
+            for cls in classes
+            for e in eisenstein_scan(cls)
+            if e.ell >= 3 and e.exponent >= 1
+        }
+        numerator = Fraction(n - 1, 12).numerator
+        assert found == {ell for ell in factorize(numerator) if ell >= 3}, n
+        pairs += len(found)
+    assert pairs == 32
 
 
 def test_eisenstein_scan_refusals():

@@ -1,16 +1,19 @@
-"""Command-line interface.
+"""Command-line interface, standard library only: `congruon COMMAND [ARGS]...`.
 
-Every refusal is a `CongruonError`, caught once in `main`: it prints
-`error: <message>` to stderr and exits with the error's `exit_code` (2 parse
-or usage error, 3 non-coprime input, 4 cap exceeded (level, factorization or
-class-splitting prime cap), 5 precondition violated).
+Each command is a function in `_COMMANDS`, and its parameters are its
+options (see `_parse`). Every refusal, a usage error included, is a
+`CongruonError`, caught once in `main`: it prints one `error: <message>`
+line to stderr and exits with the error's `exit_code` (2 parse or usage
+error, 3 non-coprime input, 4 cap exceeded, 5 precondition violated).
+Each command writes its output in one write.
 """
 
 from __future__ import annotations
 
+import inspect
+import os
 import re
-
-import click
+import sys
 
 from .arith import CongruonError, factorize, is_prime
 from .congruence import congruence_number
@@ -48,42 +51,117 @@ def _load_form(spec):
     path, form_id = spec.rsplit("#", 1)
     try:
         with open(path) as fh:
-            dataset = parse_dataset(fh.read())
-        return dataset.form(form_id)
+            return parse_dataset(fh.read()).form(form_id)
     except OSError as e:
         raise CongruonError(str(e)) from None
     except KeyError as e:
         raise CongruonError(*e.args) from None
 
 
-class _Main(click.Group):
-    """Catches every CongruonError of a subcommand."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except CongruonError as e:
-            click.echo(f"error: {e}", err=True)
-            raise click.exceptions.Exit(e.exit_code) from None
+def _write(lines):
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-@click.group(cls=_Main)
-def main():
-    """Exact prime-power congruences of polynomial roots and eigenforms."""
+# The options that take an integer, with its least value; the others take text.
+_INTEGERS = {"--level": 1, "--cap": 1, "--cutoff": 2, "--ell": 2, "--p": 2}
 
+
+def _options(params):
+    """{option: parameter} of a command's parameters: `--skip-Tl` sets
+    `skip_Tl` and `--class` sets `class_`. Its `*specs` take the arguments."""
+    names = {p.name.rstrip("_").replace("_", "-"): p for p in params.values()}
+    return {"--" + n: p for n, p in names.items() if p.kind is not p.VAR_POSITIONAL}
+
+
+def _parse(func, params, tokens):
+    """(specs, kwargs) for command `func` from its tokens, or None when they
+    ask for `--help`. `--opt value` and `--opt=value` give an option its
+    value; any other token is an argument, also one starting with `-` such as
+    `-60,1`, and so is every token after `--`. An option whose parameter has
+    no default is required, one defaulting to False is a flag, and one
+    defaulting to () collects all its values."""
+    options, specs, kwargs = _options(params), [], {}
+    tokens = iter(tokens)
+    for token in tokens:
+        opt, eq, text = token.partition("=")
+        if token == "--help":
+            return None
+        if token == "--":
+            specs += tokens
+        elif not token.startswith("--"):
+            specs.append(token)
+        elif opt not in options:
+            raise CongruonError(f"unknown option {opt!r} for {func.__name__}")
+        elif options[opt].default is False:
+            if eq:
+                raise CongruonError(f"{opt} takes no value")
+            kwargs[options[opt].name] = True
+        else:
+            if not eq and (text := next(tokens, None)) is None:
+                raise CongruonError(f"{opt} needs a value")
+            name, value, least = options[opt].name, text, _INTEGERS.get(opt)
+            if least is not None:
+                if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
+                    raise CongruonError(f"{opt} takes an integer, not {text!r}")
+                if (value := int(text)) < least:
+                    raise CongruonError(f"{opt} must be at least {least}, not {value}")
+            repeat = options[opt].default == ()
+            kwargs[name] = kwargs.get(name, ()) + (value,) if repeat else value
+    for opt, param in options.items():
+        if param.default is param.empty and param.name not in kwargs:
+            raise CongruonError(f"missing option {opt}")
+    if specs and "specs" not in params:
+        raise CongruonError(f"unexpected argument {specs[0]!r} for {func.__name__}")
+    return specs, kwargs
+
+
+def _help(prog, func, params):
+    """`--help` of the command `func`, or of the group when it is None."""
+    if func is None:
+        rows = [f"  {n:<12}{f.__doc__.splitlines()[0]}" for n, (f, _) in _COMMANDS.items()]
+        return "\n".join([f"Usage: {prog} COMMAND [ARGS]...", "", "Commands:", *rows, ""])
+    words = [f"Usage: {prog} {func.__name__}"]
+    for opt, p in _options(params).items():
+        word = opt + ("" if p.default is False else " " + p.name.strip("_").upper())
+        word += " ..." if p.default == () else ""
+        words.append(word if p.default is p.empty else f"[{word}]")
+    words += ["SPECS..."] if "specs" in params else []
+    doc = [f"  {line.strip()}".rstrip() for line in func.__doc__.strip().splitlines()]
+    return "\n".join([" ".join(words), "", *doc]) + "\n"
+
+
+def main(args=None, prog_name="congruon", standalone_mode=True):
+    """The `congruon` entry point: runs `args` (default `sys.argv[1:]`), then
+    raises SystemExit with the exit status, or returns it if not standalone."""
+    args, code = sys.argv[1:] if args is None else list(args), 0
+    try:
+        if not args:
+            raise CongruonError(f"missing command (see {prog_name} --help)")
+        name, *tokens = args
+        if name not in _COMMANDS and name != "--help":
+            raise CongruonError(f"unknown command {name!r}")
+        func, params = _COMMANDS.get(name, (None, None))
+        parsed = func and _parse(func, params, tokens)
+        if parsed is None:
+            sys.stdout.write(_help(prog_name, func, params))
+        else:
+            func(*parsed[0], **parsed[1])
+    except CongruonError as e:
+        sys.stdout.flush()
+        sys.stderr.write(f"error: {e}\n")
+        code = e.exit_code
+    if standalone_mode:
+        raise SystemExit(code)
+    return code
+
+
+# click's Command interface, so that click.testing.CliRunner drives the CLI
+main.main, main.name = main, "congruon"
 
 _COEFFS = r"^-?\d+(,-?\d+)*$"
-_CAP = click.option(
-    "--cap", type=click.IntRange(min=1), default=DEFAULT_LEVEL_CAP, show_default=True
-)
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.argument("specs", nargs=-1, type=click.UNPROCESSED)
-@click.option("--ell", type=int, default=None, help="Residue prime to examine.")
-@click.option("--all-ell", is_flag=True, help="Examine every prime dividing c.")
-@click.option("--pretty", is_flag=True, help="Human-readable polynomial output.")
-def congpoly(specs, ell, all_ell, pretty):
+def congpoly(*specs, ell=None, all_ell=False, pretty=False):
     """Congruence number and root-congruence exponents of two polynomials.
 
     Both polynomials must be monic. Coefficients are comma-separated,
@@ -94,62 +172,42 @@ def congpoly(specs, ell, all_ell, pretty):
             raise CongruonError(f"unknown argument {spec!r}")
     if len(specs) != 2:
         raise CongruonError("expected exactly two coefficient lists")
-    p = _parse_poly(specs[0])
-    q = _parse_poly(specs[1])
+    p, q = map(_parse_poly, specs)
     if ell is not None and all_ell:
         raise CongruonError("--ell and --all-ell are alternatives; pass one")
     if ell is not None and not is_prime(ell):
         raise CongruonError(f"--ell {ell} is not prime")
     res = congruence_number(p, q)
-    click.echo(f"c={res.c} r={_poly_out(res.r, pretty)} s={_poly_out(res.s, pretty)}")
+    lines = [f"c={res.c} r={_poly_out(res.r, pretty)} s={_poly_out(res.s, pretty)}"]
     ells = sorted(factorize(res.c)) if all_ell else ([ell] if ell else [])
     for l in ells:
         bounds = res.bounds(l)
         n, method = res.exponent(l)
         exact = "exact" if bounds.exact else f"bounds=[{bounds.lower},{bounds.upper}]"
-        click.echo(f"ell={l} n={n} {exact} method={method} case={bounds.case_tag}")
+        lines.append(f"ell={l} n={n} {exact} method={method} case={bounds.case_tag}")
+    _write(lines)
 
 
-@main.command()
-@click.option("--level", type=click.IntRange(min=1), required=True)
-@click.option("--p", "prime", type=int, multiple=True, help="Primes to tabulate.")
-@click.option("--class", "class_id", default=None, help="Restrict to one class id.")
-@_CAP
-def charpoly(level, prime, class_id, cap):
+def charpoly(*, level, p=(), class_=None, cap=DEFAULT_LEVEL_CAP):
     """Emit FORM/CP dataset lines for the weight-2 classes at a level."""
-    for p in prime:
-        if not is_prime(p):
-            raise CongruonError(f"{p} is not prime")
+    for prime in p:
+        if not is_prime(prime):
+            raise CongruonError(f"{prime} is not prime")
     classes = newform_classes(level, cap=cap)
-    if class_id is not None:
-        classes = [cls for cls in classes if cls.id == class_id]
+    if class_ is not None:
+        classes = [cls for cls in classes if cls.id == class_]
         if not classes:
-            raise CongruonError(f"no class with id {class_id!r} at level {level}")
-    for cls in classes:
-        click.echo(export_class(cls, prime).rstrip("\n"))
+            raise CongruonError(f"no class with id {class_!r} at level {level}")
+    sys.stdout.write("".join(export_class(cls, p) for cls in classes))
 
 
-@main.command()
-@click.option("--f", "f_spec", required=True, help="Form reference path#id.")
-@click.option("--g", "g_spec", required=True, help="Form reference path#id.")
-@click.option("--skip-Tl", "skip_tl", is_flag=True)
-@click.option("--assert-irred", is_flag=True)
-@click.option("--include-level-primes", is_flag=True)
-@click.option("--cutoff", type=click.IntRange(min=2), help="Prime cutoff override.")
-@click.option("--store", type=click.Path(), default=None)
-def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutoff, store):
+def congforms(*, f, g, skip_Tl=False, assert_irred=False, include_level_primes=False,
+              cutoff=None, store=None):
     """Compare two newform classes per the full algorithm."""
-    f = _load_form(f_spec)
-    g = _load_form(g_spec)
-    opts = ComparisonOptions(
-        skip_t_ell=skip_tl,
-        include_p_dividing_levels=include_level_primes,
-        assert_irreducible=assert_irred,
-        prime_cutoff_override=cutoff,
-    )
-    record = compare_newforms(f, g, opts)
-    for line in result_lines(record):
-        click.echo(line)
+    opts = ComparisonOptions(skip_t_ell=skip_Tl, assert_irreducible=assert_irred,
+        include_p_dividing_levels=include_level_primes, prime_cutoff_override=cutoff)
+    record = compare_newforms(_load_form(f), _load_form(g), opts)
+    _write(result_lines(record))
     if store:
         try:
             ResultsStore(store).append(record)
@@ -157,45 +215,42 @@ def congforms(f_spec, g_spec, skip_tl, assert_irred, include_level_primes, cutof
             raise CongruonError(str(e)) from None
 
 
-@main.command()
-@click.option("--level", type=click.IntRange(min=1), required=True)
-@click.option("--cutoff", type=click.IntRange(min=2), help="Prime cutoff override.")
-@_CAP
-def eisenstein(level, cutoff, cap):
+def eisenstein(*, level, cutoff=None, cap=DEFAULT_LEVEL_CAP):
     """Scan a prime level for congruences with the Eisenstein series."""
     check_eisenstein_level(level)
+    lines = []
     for cls in newform_classes(level, cap=cap):
         entries = eisenstein_scan(cls, prime_cutoff_override=cutoff)
-        if not entries:
-            click.echo(f"EIS id={cls.id} none")
-        for e in entries:
-            click.echo(
-                f"EIS id={cls.id} ell={e.ell} n={e.exponent} mazur={e.mazur_valuation}"
-            )
+        lines += [
+            f"EIS id={cls.id} ell={e.ell} n={e.exponent} mazur={e.mazur_valuation}"
+            for e in entries
+        ] or [f"EIS id={cls.id} none"]
+    _write(lines)
 
 
-@main.command()
-@click.option("--f", "f_spec", required=True, help="Form reference path#id.")
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--ell", type=int, required=True)
-def levelraise(f_spec, prime, ell):
+def levelraise(*, f, p, ell):
     """Level-raising congruence check at a prime p away from the level."""
-    f = _load_form(f_spec)
-    if not is_prime(prime) or not is_prime(ell):
+    form = _load_form(f)
+    if not is_prime(p) or not is_prime(ell):
         raise CongruonError("p and ell must be prime")
-    r = level_raising_check(f, prime, ell)
-    click.echo(f"e-={r.e_minus} (c={r.c_minus}), e+={r.e_plus} (c={r.c_plus})")
+    r = level_raising_check(form, p, ell)
+    _write([f"e-={r.e_minus} (c={r.c_minus}), e+={r.e_plus} (c={r.c_plus})"])
 
 
-@main.command()
-@click.option("--store", type=click.Path(exists=True, dir_okay=False), required=True)
-def compact(store):
+def compact(*, store):
     """Rewrite a results store without duplicate records."""
+    if not os.path.isfile(store):
+        raise CongruonError(f"--store {store!r} is not an existing file")
     try:
         ResultsStore(store).compact()
     except OSError as e:
         raise CongruonError(str(e)) from None
 
+
+_COMMANDS = {  # name: (function, its parameters)
+    f.__name__: (f, inspect.signature(f).parameters)
+    for f in (congpoly, charpoly, congforms, eisenstein, levelraise, compact)
+}
 
 if __name__ == "__main__":
     main()

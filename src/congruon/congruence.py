@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import lcm
+from operator import add, mul
 
 from .arith import CongruonError, is_prime, valuation
 from .intpoly import IntPoly, coprime_mod, factor_over_z, gcd_over_q
 from .linalg import rref
+
+_SQUAREFREE_PRIME = 2**31 - 1  # the prime q of _has_repeated_factor
 
 
 class PreconditionError(CongruonError, ValueError):
@@ -128,9 +131,14 @@ def _first_slope_exponent(ell, f):
 
 @lru_cache(maxsize=1024)
 def _has_repeated_factor(poly):
-    """True iff poly has a repeated factor over Q. Cached, since the records
-    of all pairs at one level share each class's P_{f,p}."""
-    return poly.degree > 0 and gcd_over_q(poly, poly.derivative()).degree > 0
+    """True iff poly has a repeated factor over Q. A square factor stays one
+    modulo a prime q not dividing the leading coefficient, so gcd(poly, poly')
+    over Q is taken only when poly is not squarefree modulo q. Cached, since
+    the records of all pairs at one level share each class's P_{f,p}."""
+    q, d = _SQUAREFREE_PRIME, poly.derivative()
+    if poly.degree < 1 or poly.leading % q and coprime_mod(poly, d, q):
+        return False
+    return gcd_over_q(poly, d).degree > 0
 
 
 @dataclass(frozen=True)
@@ -237,8 +245,8 @@ def difference_root_poly(p, q):
     F is a composed sum (Bostan, Flajolet, Salvy and Schost, "Fast computation
     of special resultants", J. Symbolic Comput. 41, 2006), computed in int:
     the power sums of beta - alpha are S_k = sum_j C(k, j) s_j(Q) s_(k-j)(-P),
-    with s_j(-P) = (-1)^j s_j(P) and s_0 the degree. Non-monic input raises
-    PreconditionError, since this holds only for monic P and Q.
+    with s_j(-P) = (-1)^j s_j(P) and s_0 the degree, and Pascal's rule gives
+    each C(k, .). Non-monic input raises PreconditionError (monic P, Q only).
     """
     if p.degree < 1 or q.degree < 1:
         raise ValueError("difference_root_poly needs degrees >= 1")
@@ -247,10 +255,10 @@ def difference_root_poly(p, q):
     deg = p.degree * q.degree
     neg_alpha = [(-1) ** k * s for k, s in enumerate(_power_sums(p, deg))]
     beta = _power_sums(q, deg)
-    sums = [
-        sum(comb(k, j) * beta[j] * neg_alpha[k - j] for j in range(k + 1))
-        for k in range(deg + 1)
-    ]
+    sums, row = [], [1]
+    for k in range(deg + 1):
+        sums.append(sum(map(mul, map(mul, row, beta), neg_alpha[k::-1])))
+        row = [1, *map(add, row, row[1:]), 1]
     return _from_power_sums(sums)
 
 

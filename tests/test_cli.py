@@ -22,12 +22,13 @@ def runner():
 
 
 def _run(runner, args, **kw):
-    """Invoke the CLI; every non-zero exit must be a refusal: exactly one
-    `error: ` line on stderr (click's own usage errors print `Error: `) and
-    no traceback."""
+    """Invoke the CLI through click's test runner, which drives `main.main`
+    as it would a click command; every non-zero exit must be a refusal:
+    exactly one `error: ` line on stderr, usage errors included, and no
+    traceback."""
     r = runner.invoke(main, args, **kw)
     if r.exit_code:
-        errors = [l for l in r.stderr.splitlines() if l.lower().startswith("error: ")]
+        errors = [l for l in r.stderr.splitlines() if l.startswith("error: ")]
         assert len(errors) == 1, r.output
         assert isinstance(r.exception, SystemExit), r.exception
         assert "Traceback" not in r.output
@@ -174,6 +175,85 @@ def test_congpoly_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "c=72 r=1 s=-1"
+
+
+def test_importing_the_cli_loads_no_click():
+    src = str(Path(congruon.__file__).parents[1])
+    code = "import sys, congruon, congruon.cli; print('click' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+# --- the parse contract -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["congpoly", "-60,x", "12,1"], id="bad-negative-list-first"),
+        pytest.param(["congpoly", "12,1", "-6o,1"], id="bad-negative-list-second"),
+        pytest.param(["congpoly", "--pretty", "-60,1"], id="one-list-after-option"),
+        pytest.param(["congpoly", "12,1", "-60,1", "--ell"], id="missing-value"),
+        pytest.param(["charpoly", "--level"], id="missing-level-value"),
+        pytest.param(["charpoly", "--level", "x"], id="not-an-integer"),
+        pytest.param(["charpoly"], id="missing-required-option"),
+        pytest.param(["charpoly", "--level", "11", "extra"], id="unexpected-argument"),
+        pytest.param(["congpoly", "12,1", "-60,1", "--pretty=1"], id="flag-with-value"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["charpoly", "--level", "11", "--bogus"], id="unknown-option"),
+        pytest.param(["charpoly", "--level", "0"], id="level-0"),
+        pytest.param(["eisenstein", "--level", "11", "--cutoff", "1"], id="cutoff-1"),
+        pytest.param(["compact", "--store", "{tmp}"], id="store-directory"),
+        pytest.param(["compact", "--store", "{tmp}/missing.txt"], id="store-missing"),
+        pytest.param([], id="bare"),
+    ],
+)
+def test_usage_error_is_one_error_line(runner, tmp_path, args):
+    """Usage errors are refusals like any other: exit 2, one `error: ` line
+    on stderr, no usage block, nothing on stdout."""
+    r = _run(runner, [a.format(tmp=tmp_path) for a in args])
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-60,1", "12,1"],
+        ["--pretty", "-60,1", "12,1"],
+        ["12,1", "--ell", "3", "-60,1"],
+        ["--ell=3", "--", "-60,1", "12,1"],
+    ],
+)
+def test_congpoly_negative_list_in_any_position(runner, args):
+    r = _run(runner, ["congpoly", *args])
+    assert r.exit_code == 0
+    assert r.output.startswith("c=72 ")
+
+
+def test_option_equals_value_and_double_dash(runner):
+    want = _run(runner, ["charpoly", "--level", "11", "--p", "2", "--p", "3"]).output
+    assert _run(runner, ["charpoly", "--level=11", "--p=2", "--p", "3"]).output == want
+    assert _run(runner, ["charpoly", "--level=11", "--p=2", "--p=3", "--"]).output == want
+
+
+def test_main_returns_the_exit_status_when_not_standalone(capsys):
+    """`main.main(args=..., standalone_mode=False)`, as the benchmark calls
+    it, returns the status instead of raising SystemExit."""
+    run = main.main
+    assert run(args=["congpoly", "12,1", "-60,1"], standalone_mode=False) == 0
+    assert capsys.readouterr().out == "c=72 r=1 s=-1\n"
+    assert run(args=["congpoly", "1,1", "1,2,1"], standalone_mode=False) == 3
+    assert run(args=["charpoly", "--level", "0"], standalone_mode=False) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not coprime") and "error: --level" in err
 
 
 # --- charpoly ----------------------------------------------------------------

@@ -22,11 +22,12 @@ from congruon.congruence import (
     difference_root_poly,
 )
 from congruon.hecke_io import parse_dataset
-from congruon.intpoly import IntPoly, gcd_over_q
+from congruon.intpoly import IntPoly, coprime_mod, gcd_over_q
 from congruon.linalg import mat_mul
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "congruon"
 GOLDEN_HIGH = Path(__file__).parent / "golden" / "charpolys_high.txt"
+SQF_PRIME = congruon.congruence._SQUAREFREE_PRIME
 
 
 # --- reference congruence number: Hermite form of the Sylvester matrix -------
@@ -471,14 +472,21 @@ def test_solve_with_repeated_factors():
 
 def test_repeated_factor_test_runs_once_per_polynomial(monkeypatch):
     """The records of all pairs at a level share each P; the repeated-factor
-    test (gcd(P, P')) runs once per distinct polynomial, not per record, and
-    still routes a square through the factored case."""
-    calls = []
+    test runs once per distinct polynomial, not per record: the squarefree
+    test modulo one prime for every P, gcd(P, P') over Q only for the P that
+    fail it. It still routes a square through the factored case."""
+    mod_calls, calls = [], []
+
+    def counted_coprime(a, b, p):
+        if p == SQF_PRIME:
+            mod_calls.append(a)
+        return coprime_mod(a, b, p)
 
     def counted_gcd(a, b):
         calls.append(a)
         return gcd_over_q(a, b)
 
+    monkeypatch.setattr(congruon.congruence, "coprime_mod", counted_coprime)
     monkeypatch.setattr(congruon.congruence, "gcd_over_q", counted_gcd)
     _has_repeated_factor.cache_clear()
     polys = [IntPoly.from_roots(r) for r in ([1, 1], [3], [5, -2], [7, 7, 2])]
@@ -487,9 +495,41 @@ def test_repeated_factor_test_runs_once_per_polynomial(monkeypatch):
             for q in polys:
                 if p != q:
                     congruence_number(p, q).bounds(ell)
-    assert sorted(map(str, calls)) == sorted(map(str, polys))
+    assert sorted(map(str, mod_calls)) == sorted(map(str, polys))
+    assert sorted(map(str, calls)) == sorted(map(str, [polys[0], polys[3]]))
     square = congruence_number(polys[0], polys[1]).bounds(2)
     assert square.case_tag == "factored"
+
+
+
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_has_repeated_factor_matches_gcd_over_q(roots, repeats, lead):
+    """The test modulo one prime, with gcd(P, P') over Q as the fallback,
+    agrees with gcd(P, P') alone, also where the first roots repeat."""
+    poly = IntPoly([lead]) * IntPoly.from_roots(roots + roots[:repeats])
+    want = poly.degree > 0 and gcd_over_q(poly, poly.derivative()).degree > 0
+    assert _has_repeated_factor.__wrapped__(poly) == want
+
+
+@pytest.mark.parametrize(
+    "poly, repeated",
+    [
+        # squarefree over Q, yet a square modulo the prime: the fallback decides
+        (IntPoly.from_roots([0, SQF_PRIME]), False),
+        # the prime divides the leading coefficient, so the mod test is skipped:
+        # modulo it, (qX + 1)^2 is the squarefree constant 1
+        (IntPoly([1, 0, SQF_PRIME]), False),
+        (IntPoly([1, SQF_PRIME]) ** 2, True),
+        (IntPoly([5]), False),
+    ],
+)
+def test_has_repeated_factor_fallback(poly, repeated):
+    assert _has_repeated_factor.__wrapped__(poly) is repeated
 
 
 def test_bounds_cases_reachable():

@@ -22,21 +22,6 @@ class CongruonError(Exception):
     __str__ = Exception.__str__
 
 
-def xgcd(a, b):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) and g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def _miller_rabin(n, bases):
     d = n - 1
     s = 0

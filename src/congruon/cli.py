@@ -17,7 +17,7 @@ import sys
 
 from .arith import CongruonError, factorize, is_prime
 from .congruence import congruence_number
-from .hecke_io import ResultsStore, export_class, parse_dataset, result_lines
+from .hecke_io import ResultsStore, export_class, parse_dataset, read_utf8, result_lines
 from .intpoly import IntPoly
 from .modsym import DEFAULT_LEVEL_CAP, newform_classes
 from .pipeline import (
@@ -50,8 +50,8 @@ def _load_form(spec):
         raise CongruonError(f"form spec {spec!r} must be path#id")
     path, form_id = spec.rsplit("#", 1)
     try:
-        with open(path) as fh:
-            return parse_dataset(fh.read()).form(form_id)
+        with open(path, encoding="utf-8") as fh:
+            return parse_dataset(read_utf8(fh)).form(form_id)
     except OSError as e:
         raise CongruonError(str(e)) from None
     except KeyError as e:

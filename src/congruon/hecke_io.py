@@ -36,6 +36,15 @@ class FormatError(CongruonError, ValueError):
     """Malformed dataset or results text."""
 
 
+def read_utf8(fh):
+    """All the text of fh, a file opened with encoding="utf-8"; bytes that
+    are not UTF-8 raise FormatError."""
+    try:
+        return fh.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{fh.name!r} is not UTF-8 text (byte {e.start})") from None
+
+
 @dataclass(frozen=True)
 class CharPolyDataset:
     """A collection of newform classes with their T_p charpolys."""
@@ -257,9 +266,9 @@ class ResultsStore:
 
     def append(self, record):
         """Append a record unless an identical (f, g, options) one exists."""
-        with self._locked(fcntl.LOCK_EX), open(self.path, "a+") as fh:
+        with self._locked(fcntl.LOCK_EX), open(self.path, "a+", encoding="utf-8") as fh:
             fh.seek(0)
-            existing = fh.read()
+            existing = read_utf8(fh)
             key = (record.f_id, record.g_id, record.options_hash)
             if key in map(self._key, existing.splitlines()):
                 return False
@@ -271,8 +280,8 @@ class ResultsStore:
     def read_text(self):
         if not os.path.exists(self.path):
             return ""
-        with self._locked(fcntl.LOCK_SH), open(self.path) as fh:
-            return fh.read()
+        with self._locked(fcntl.LOCK_SH), open(self.path, encoding="utf-8") as fh:
+            return read_utf8(fh)
 
     def compact(self):
         """Rewrite the store keeping the first copy of each record block.
@@ -282,9 +291,9 @@ class ResultsStore:
         """
         tmp = self.path + ".compact"
         with self._locked(fcntl.LOCK_EX):
-            with open(self.path, "a+") as fh:
+            with open(self.path, "a+", encoding="utf-8") as fh:
                 fh.seek(0)
-                lines = fh.read().splitlines()
+                lines = read_utf8(fh).splitlines()
             seen = set()
             out = []
             keep = True
@@ -296,7 +305,7 @@ class ResultsStore:
                 if keep:
                     out.append(line)
             try:
-                with open(tmp, "w") as fh:
+                with open(tmp, "w", encoding="utf-8") as fh:
                     fh.write("\n".join(out) + ("\n" if out else ""))
                     fh.flush()
                     os.fsync(fh.fileno())

@@ -321,7 +321,8 @@ def _pm_gcd(a, b, p):
         a = [c * inv % p for c in a]
     return a
 
-def _pm_xgcd(a, b, p):
+
+def _pm_bezout(a, b, p):
     """Extended gcd over F_p: (g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = list(a), list(b)
     s0, s1 = [1], []
@@ -428,7 +429,7 @@ def _hensel_lift_list(f, modular_factors, p, target):
         g0 = [fc[-1] % p]
         for fac in facs[:k]:
             g0 = _pm_mul(g0, fac, p)
-        one, s, t = _pm_xgcd(g0, h0, p)
+        one, s, t = _pm_bezout(g0, h0, p)
         assert one == [1], "modular factors are not coprime"
         g, h, ss, tt = g0, h0, s, t
         m = p

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .arith import CongruonError, divisors, euler_phi, factorize, index_gamma0
-from .arith import is_prime, prime_divisors, primes_upto, xgcd
+from .arith import is_prime, prime_divisors, primes_upto
 from .congruence import PreconditionError
 from .intpoly import factor_over_z
 from .linalg import (
@@ -160,48 +160,6 @@ def heilbronn_matrices(t):
     if not is_prime(t):
         raise ValueError(f"{t} is neither 1 nor a prime")
     return list(cremona_matrices(t))
-
-
-def lift_to_sl2z(c, d, n):
-    """Lift (c:d) in P^1(Z/NZ) to a matrix [[a,b],[c,d]] in SL2(Z)."""
-    if n == 1:
-        return 1, 0, 0, 1
-    c %= n
-    d %= n
-    g, _, _ = xgcd(c, d)
-    if g == 0:
-        raise ValueError("cannot lift (0:0)")
-    # adjust d by multiples of n until gcd(c, d) == 1
-    if c == 0:
-        c = n
-    dd = d
-    while math.gcd(c, dd) != 1:
-        dd += n
-    g, a, b = xgcd(dd, -c)
-    assert g == 1
-    return a, b, c, dd
-
-
-class _CuspList:
-    """Cusp classes of Gamma0(N), numbered in the order first met. The class
-    of a/c, gcd(a, c) = 1, is keyed by (d, a * c/d mod g), d = gcd(c, N) and
-    g = gcd(d, N/d): Gamma0(N) keeps d and multiplies a and c/d modulo g by
-    mutually inverse units. Each (d, u), u a unit mod g, is the key of some
-    u'/d, so there are sum over d | N of phi(g) keys, one per class.
-    Cremona's pairwise test, the reference, is in tests/test_modsym.py."""
-
-    def __init__(self, n):
-        self.n = n
-        self._number = {}
-
-    def __len__(self):
-        return len(self._number)
-
-    def index(self, cusp):
-        a, c = cusp
-        d = math.gcd(c, self.n)
-        key = d, a * (c // d) % math.gcd(d, self.n // d)
-        return self._number.setdefault(key, len(self._number))
 
 
 def _cusp_invariants(n):
@@ -355,8 +313,6 @@ class ModSymSpace:
         assert self.dimension == genus_x0(n) + orbits - 1
 
         self._hecke_cache = {}
-        self._cusp_list = None
-        self._boundary = None
 
     # -- generators ---------------------------------------------------------
 
@@ -420,25 +376,30 @@ class ModSymSpace:
 
     # -- cusps and boundary -------------------------------------------------
 
-    def boundary_data(self):
-        """(cusp list, boundary matrix of shape #cusps x dimension); the
-        column of generator (c:d) is delta(c:d) + delta(-c:d), so its kernel
-        is the cuspidal part."""
-        if self._boundary is not None:
-            return self._cusp_list, self._boundary
-        cusps = _CuspList(self.n)
-        entries = []
-        for col, (c, d) in enumerate(self.generator_symbols()):
+    def boundary_matrix(self):
+        """Boundary map, #cusps x dimension, its rows the cusp classes in the
+        order first met. The column of generator (c:d) is delta(c:d) +
+        delta(-c:d), so its kernel is the cuspidal part; delta(c:d) is
+        [a/c] - [b/d] for any lift [[a, b], [c, d]] in SL2(Z). The class of
+        u/x, gcd(u, x) = 1, is keyed by (D, u * x/D mod g), D = gcd(x, N),
+        g = gcd(D, N/D) (Cremona, 2.2). As g divides N, c and d, a = 1/d and
+        b = -1/c modulo g, so the keys are read off (c:d) with no lift.
+        """
+        n, rows = self.n, {}
+
+        def row(x, y):  # the row of the class of u/x, u = 1/y mod g
+            div = math.gcd(x, n)
+            g = math.gcd(div, n // div)
+            key = div, pow(y, -1, g) * (x // div) % g
+            if key not in rows:
+                rows[key] = [0] * self.dimension
+            return rows[key]
+
+        for col, (c, d) in enumerate(self._generators):
             for sc in (c, -c):
-                a, b, cc, dd = lift_to_sl2z(sc, d, self.n)
-                entries.append((cusps.index((a, cc)), cusps.index((b, dd)), col))
-        mat = [[0] * self.dimension for _ in range(len(cusps))]
-        for i_plus, i_minus, col in entries:
-            mat[i_plus][col] += 1
-            mat[i_minus][col] -= 1
-        self._cusp_list = cusps
-        self._boundary = mat
-        return cusps, mat
+                row(sc % n, d)[col] += 1
+                row(d, -sc % n)[col] -= 1
+        return list(rows.values())
 
 
 class Subspace:
@@ -475,15 +436,13 @@ class Subspace:
 
 def cuspidal_subspace(space):
     """Kernel of the boundary map."""
-    _, boundary = space.boundary_data()
-    basis = nullspace(boundary, space.dimension)
+    basis = nullspace(space.boundary_matrix(), space.dimension)
     return Subspace(space, basis)
 
 
 def cuspidal_new_subspace(space):
     """Cuspidal vectors killed by all degeneracy maps to lower levels."""
-    _, boundary = space.boundary_data()
-    stacked = [row[:] for row in boundary]
+    stacked = space.boundary_matrix()
     for q in prime_divisors(space.n):
         # a divisor level is below a level that already passed its cap
         small = build_space(space.n // q, cap=space.n)

@@ -13,15 +13,7 @@ from congruon.arith import (
     prime_divisors,
     primes_upto,
     valuation,
-    xgcd,
 )
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_xgcd_identity(a, b):
-    g, x, y = xgcd(a, b)
-    assert g == math.gcd(a, b)
-    assert a * x + b * y == g
 
 
 def test_is_prime_matches_sympy():

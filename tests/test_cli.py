@@ -212,12 +212,22 @@ def test_importing_the_cli_loads_no_click():
         pytest.param(["compact", "--store", "{tmp}"], id="store-directory"),
         pytest.param(["compact", "--store", "{tmp}/missing.txt"], id="store-missing"),
         pytest.param([], id="bare"),
+        pytest.param(["congforms", "--f", "{bad}#a", "--g", "{ok}#a"], id="f-not-utf8"),
+        pytest.param(["congforms", "--f", "{ok}#a", "--g", "{bad}#a"], id="g-not-utf8"),
+        pytest.param(["levelraise", "--f", "{bad}#a", "--p", "3", "--ell", "5"],
+                     id="levelraise-f-not-utf8"),
+        pytest.param(["compact", "--store", "{bad}"], id="store-not-utf8"),
     ],
 )
 def test_usage_error_is_one_error_line(runner, tmp_path, args):
     """Usage errors are refusals like any other: exit 2, one `error: ` line
-    on stderr, no usage block, nothing on stdout."""
-    r = _run(runner, [a.format(tmp=tmp_path) for a in args])
+    on stderr, no usage block, nothing on stdout. A dataset or store that is
+    not UTF-8 is one too, and is left as it was."""
+    form = b"FORM id=a level=11 weight=2 degree=1\nCP id=a p=2 coeffs=2,1\n"
+    bad, ok = tmp_path / "bad.txt", tmp_path / "ok.txt"
+    bad.write_bytes(b"\xff\xfe" + form)
+    ok.write_bytes(form)
+    r = _run(runner, [a.format(tmp=tmp_path, bad=bad, ok=ok) for a in args])
     assert r.exit_code == 2
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
     assert r.stdout == ""
@@ -527,6 +537,20 @@ def test_congforms_store_path_refused(runner, dataset71, tmp_path, store):
     r = _run(runner, [*args, "--store", str(tmp_path / store)])
     assert r.exit_code == 2
     assert "RESULT f=71.2.a g=71.2.b" in r.stdout
+
+
+def test_congforms_store_not_utf8_refused(runner, dataset71, tmp_path):
+    """A store that is not UTF-8 is refused after the result is printed, and
+    is left as it was."""
+    store = tmp_path / "store.txt"
+    text = b"\xff\xfe# cmp f=71.2.a g=71.2.b opts=x\n"
+    store.write_bytes(text)
+    args = ["congforms", "--f", f"{dataset71}#71.2.a", "--g", f"{dataset71}#71.2.b"]
+    r = _run(runner, [*args, "--store", str(store)])
+    assert r.exit_code == 2
+    assert r.stderr == f"error: {str(store)!r} is not UTF-8 text (byte 0)\n"
+    assert "RESULT f=71.2.a g=71.2.b" in r.stdout
+    assert store.read_bytes() == text
 
 
 def test_compact_refuses_a_directory(runner, tmp_path):

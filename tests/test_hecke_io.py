@@ -145,6 +145,21 @@ def test_store_intact_when_compaction_fails(tmp_path, monkeypatch):
     assert store.read_text().count("RESULT ") == 2
 
 
+@pytest.mark.parametrize("call", ["append", "read_text", "compact"])
+def test_store_not_utf8_refused_and_kept(tmp_path, call):
+    """A store is read as UTF-8; one that is not is refused with FormatError
+    before anything is written."""
+    path = tmp_path / "results.txt"
+    text = b"\xff\xfe" + "\n".join(result_lines(_record())).encode() + b"\n"
+    path.write_bytes(text)
+    store = ResultsStore(str(path))
+    args = (_record(opts="other"),) if call == "append" else ()
+    with pytest.raises(FormatError, match=r"is not UTF-8 text \(byte 0\)"):
+        getattr(store, call)(*args)
+    assert path.read_bytes() == text
+    assert not (tmp_path / "results.txt.compact").exists()
+
+
 def test_store_appends_survive_concurrent_compaction(tmp_path):
     # an append that waited on the lock during a compaction must land in the
     # new store file, not in the replaced one

@@ -3,8 +3,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from congruon.arith import prime_divisors, primes_upto, xgcd
+from congruon.arith import prime_divisors, primes_upto
 from congruon.intpoly import IntPoly, factor_over_z
 import congruon.modsym
 from congruon.linalg import (
@@ -24,7 +26,6 @@ from congruon.modsym import (
     cuspidal_subspace,
     decompose_into_classes,
     heilbronn_matrices,
-    lift_to_sl2z,
     newform_classes,
 )
 from congruon.pipeline import sturm_bound
@@ -73,6 +74,61 @@ def _oracle_invariants(n):
     return index, int(genus), cusps
 
 
+# --- reference number theory: the extended gcd and the lift of (c:d) to
+# SL2(Z), which the package does without -----------------------------------
+
+
+def _xgcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) and g >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def _lift_to_sl2z(c, d, n):
+    """Lift (c:d) in P^1(Z/NZ) to a matrix [[a,b],[c,d]] in SL2(Z)."""
+    if n == 1:
+        return 1, 0, 0, 1
+    c %= n
+    d %= n
+    g, _, _ = _xgcd(c, d)
+    if g == 0:
+        raise ValueError("cannot lift (0:0)")
+    # adjust d by multiples of n until gcd(c, d) == 1
+    if c == 0:
+        c = n
+    dd = d
+    while math.gcd(c, dd) != 1:
+        dd += n
+    g, a, b = _xgcd(dd, -c)
+    assert g == 1
+    return a, b, c, dd
+
+
+@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+def test_xgcd_identity(a, b):
+    g, x, y = _xgcd(a, b)
+    assert g == math.gcd(a, b)
+    assert a * x + b * y == g
+
+
+def test_lift_to_sl2z():
+    for n in (1, 11, 12, 71):
+        p1 = P1(n)
+        for c, d in p1:
+            a, b, cc, dd = _lift_to_sl2z(c, d, n)
+            assert a * dd - b * cc == 1
+            assert (cc - c) % n == 0 and (dd - d) % n == 0
+
+
 # --- reference reduction of P^1(Z/NZ), computed without the table ----------
 
 
@@ -84,7 +140,7 @@ def _lift_unit(n, d, a):
         u *= g
         v //= g
         g = math.gcd(v, g)
-    _, x, y = xgcd(u, v)
+    _, x, y = _xgcd(u, v)
     return (u * x + a * y * v) % n
 
 
@@ -100,7 +156,7 @@ def _reduce(n, pair):
         if math.gcd(n, d) == 1:
             return (0, 1)
         return None
-    g, _, s = xgcd(n, c)
+    g, _, s = _xgcd(n, c)
     if math.gcd(g, d) > 1:
         return None
     s = _lift_unit(n, n // g, s % (n // g))
@@ -256,7 +312,7 @@ def _degeneracy_matrix(space, small, t):
     {b/d, a/c}."""
     cols = []
     for c, d in space.generator_symbols():
-        a, b, cc, dd = lift_to_sl2z(c, d, space.n)
+        a, b, cc, dd = _lift_to_sl2z(c, d, space.n)
         alpha = _scale_cusp(b, dd, t)
         beta = _scale_cusp(a, cc, t)
         cols.append(_symbol_between_cusps(small, alpha, beta))
@@ -321,15 +377,6 @@ def test_degeneracy_matrices_equal_cusp_path_reference():
     assert checked == 504
 
 
-def test_lift_to_sl2z():
-    for n in (1, 11, 12, 71):
-        p1 = P1(n)
-        for c, d in p1:
-            a, b, cc, dd = lift_to_sl2z(c, d, n)
-            assert a * dd - b * cc == 1
-            assert (cc - c) % n == 0 and (dd - d) % n == 0
-
-
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 22, 25, 37, 48, 49, 64, 71])
 def test_dimensions_match_oracle(n):
     """The plus quotient has dimension g - 1 + (cusps up to sign): the cusps
@@ -345,10 +392,11 @@ def test_dimensions_match_oracle(n):
 
 
 def test_cusp_count_matches_oracle():
-    for n in (11, 12, 22, 36, 71):
-        space = build_space(n)
-        cusps, _ = space.boundary_data()
-        assert len(cusps) == _oracle_invariants(n)[2]
+    """The generators meet every cusp class, so the boundary has one row per
+    class, sum over d | N of phi(gcd(d, N/d)); at level 1 it has no column."""
+    assert build_space(1).boundary_matrix() == []
+    for n in range(2, 201):
+        assert len(build_space(n).boundary_matrix()) == _oracle_invariants(n)[2], n
 
 
 def _cremona_equivalent(n, p, q):
@@ -357,34 +405,46 @@ def _cremona_equivalent(n, p, q):
     s1 v2 = s2 v1 mod gcd(v1 v2, N), with s_i u_i = 1 mod v_i."""
     u1, v1 = p
     u2, v2 = q
-    s1 = xgcd(u1, v1)[1]
-    s2 = xgcd(u2, v2)[1]
+    s1 = _xgcd(u1, v1)[1]
+    s2 = _xgcd(u2, v2)[1]
     return (s1 * v2 - s2 * v1) % math.gcd(n, (v1 * v2) % n) == 0
 
 
+def _class_index(n, met, cusp):
+    """Position of the class of cusp among the classes met so far, by the
+    pairwise test; a class not met yet is appended."""
+    for i, x in enumerate(met):
+        if _cremona_equivalent(n, cusp, x):
+            return i
+    met.append(cusp)
+    return len(met) - 1
+
+
+def _reference_boundary(space):
+    """(cusps met, boundary matrix) from the SL2(Z) lift [[a, b], [c, d]] of
+    each generator (c:d) and of (-c:d): the column of (c:d) is
+    [a/c] - [b/d] summed over both lifts, its cusp classes numbered in the
+    order first met by the pairwise test."""
+    n, met, ends = space.n, [], []
+    for col, (c, d) in enumerate(space.generator_symbols()):
+        for sc in (c, -c):
+            a, b, cc, dd = _lift_to_sl2z(sc, d, n)
+            plus = _class_index(n, met, (a, cc))
+            ends.append((plus, _class_index(n, met, (b, dd)), col))
+    mat = [[0] * space.dimension for _ in met]
+    for plus, minus, col in ends:
+        mat[plus][col] += 1
+        mat[minus][col] -= 1
+    return met, mat
+
+
 def test_cusp_numbering_matches_pairwise_reference():
-    """The boundary map numbers the cusps it meets by their class key. A scan
-    with Cremona's pairwise test over the classes met so far numbers them the
-    same way, in the same order, and gives the same boundary matrix."""
-    for n in [*range(1, 151), 600, 1008]:
+    """The boundary map reads each cusp class key off (c:d). The matrix built
+    from the lifts to SL2(Z), its cusps numbered by the pairwise test, is the
+    same, row for row, also at the paper's level 1003."""
+    for n in [*range(1, 151), 600, 1003, 1008]:
         space = build_space(n, cap=n)
-        cusps, boundary = space.boundary_data()
-        met = []
-        want = [[0] * space.dimension for _ in range(len(cusps))]
-        for col, (c, d) in enumerate(space.generator_symbols()):
-            for sc in (c, -c):
-                a, b, cc, dd = lift_to_sl2z(sc, d, n)
-                for cusp, sign in (((a, cc), 1), ((b, dd), -1)):
-                    i = next(
-                        (i for i, x in enumerate(met) if _cremona_equivalent(n, cusp, x)),
-                        len(met),
-                    )
-                    if i == len(met):
-                        met.append(cusp)
-                    assert cusps.index(cusp) == i, (n, cusp)
-                    want[i][col] += sign
-        assert len(met) == len(cusps)
-        assert boundary == want, n
+        assert space.boundary_matrix() == _reference_boundary(space)[1], n
 
 
 def _a_p(ainvs, p):
@@ -488,15 +548,14 @@ def test_path_vector_boundary_consistency():
     # [beta] - [alpha] + [-beta] - [-alpha] as cusp classes
     for n in (11, 14, 24):
         space = build_space(n)
-        cusps, boundary = space.boundary_data()
+        cusps, _ = _reference_boundary(space)
         for alpha, beta in [((0, 1), (1, 0)), ((1, 2), (1, 3)), ((2, 5), (0, 1))]:
             vec = _symbol_between_cusps(space, alpha, beta)
-            img = mat_vec(boundary, vec)
-            want = [Fraction(0)] * len(cusps)
+            img = mat_vec(space.boundary_matrix(), vec)
+            want = [0] * len(cusps)
             for (num, den), sign in [(beta, 1), (alpha, -1)]:
-                want[cusps.index((num, den))] += sign
-                want[cusps.index((-num, den))] += sign
-            img = img + [Fraction(0)] * (len(cusps) - len(img))
+                want[_class_index(n, cusps, (num, den))] += sign
+                want[_class_index(n, cusps, (-num, den))] += sign
             assert img == want
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import add, mul
 
 from .arith import CongruonError, is_prime, valuation
@@ -165,8 +164,9 @@ def congruence_number(p, q):
     Let M be the input of smaller degree m (P on a tie) and A the other.
     Column j of T is X^j * A reduced mod M, so T is multiplication by A on
     Z[X]/(M) and its columns span the ideal (A) there. One fraction-free
-    solve T x = e_0 gives x = A^-1 mod M over Q; c is the least common
-    denominator of x, u = c*x satisfies u*A = c mod M, and w = (c - u*A)/M
+    solve T x = e_0 gives x = A^-1 mod M over Q: rref reduces [T | e_0] to
+    [I | x] held as [c*I | u] over c, the least common denominator of x, so
+    u = c*x satisfies u*A = c mod M, and w = (c - u*A)/M
     is exact since M is monic. The cofactor pair (r, s) of r*P + s*Q = c is
     (w, u) when M = P and (u, w) otherwise. A singular T means P and Q
     share a factor.
@@ -191,12 +191,11 @@ def congruence_number(p, q):
             col = [x - top * c for x, c in zip(col, mod.coeffs)]
         cols.append(col)
     rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
-    red, pivots = rref(rows)
-    if pivots != list(range(m)):
+    span = rref(rows)
+    if span.pivots != list(range(m)):
         raise NotCoprimeError("not coprime: inputs share a factor; factor first")
-    x = [row[m] for row in red]
-    c = lcm(*(v.denominator for v in x))
-    u = IntPoly([v.numerator * (c // v.denominator) for v in x])
+    c = span.denom
+    u = IntPoly([row[m] for row in span.rows])
     w = (c - u * other).divmod_exact(mod)[0]  # the identity check verifies it
     r, s = (w, u) if mod is p else (u, w)
     return CongruenceNumberResult(c, r, s, p, q)

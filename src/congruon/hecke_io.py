@@ -37,10 +37,10 @@ class FormatError(CongruonError, ValueError):
 
 
 def read_utf8(fh):
-    """All the text of fh, a file opened with encoding="utf-8"; bytes that
-    are not UTF-8 raise FormatError."""
+    """All the text of fh, a file opened with encoding="utf-8", without a
+    leading byte-order mark; bytes that are not UTF-8 raise FormatError."""
     try:
-        return fh.read()
+        return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise FormatError(f"{fh.name!r} is not UTF-8 text (byte {e.start})") from None
 

@@ -1,36 +1,21 @@
-"""Exact linear algebra over the rationals, integers first.
+"""Exact linear algebra over the rationals, in int alone.
 
 Vectors are lists and matrices are lists of rows. Operators act on column
-vectors: (A @ v)[i] = sum_j A[i][j] v[j]. An entry is an int wherever it is
-integral and a Fraction only where it is not: rref, restriction and f(A)
-clear denominators, run in int and divide once at the end, and charpoly
-works modulo primes and joins the results by CRT. No floating point.
+vectors: (A @ v)[i] = sum_j A[i][j] v[j]. A rational matrix is an int
+matrix K over one denominator d > 0, meaning K / d: rref returns the reduced
+rows in that form, restriction returns K for the span's d, charpoly and
+f(A) take K and d, and charpoly works modulo primes and joins the results by
+CRT. No floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .arith import is_prime
 from .intpoly import IntPoly
-
-
-def _exact(x, d):
-    """x / d as an int when d divides x, else as a Fraction."""
-    return x // d if x % d == 0 else Fraction(x, d)
-
-
-def _denominator(values):
-    """The least common denominator of rational values."""
-    return math.lcm(1, *(x.denominator for x in values))
-
-
-def _times(row, d):
-    """d * row as ints, for a common denominator d of its entries."""
-    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def mat_mul(a, b):
@@ -43,19 +28,17 @@ def mat_vec(a, v):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (new rows, pivot column list).
+    """Reduced row echelon form of integer rows, as an EchelonBasis.
 
-    Fraction-free Gauss-Jordan on the rows scaled to integers, each combined
-    row divided by its content; each row is divided by its pivot once at the
-    end.
+    Gauss-Jordan in int, each combined row divided by its content; at the
+    end row i with pivot a_i and content g_i is scaled by d / a_i, d the
+    least common multiple of the |a_i / g_i|, the denominators of the
+    reduced rows.
     """
-    a = [_times(row, _denominator(row)) for row in rows]
-    if not a:
-        return [], []
-    ncols = len(a[0])
+    a = list(rows)
     pivots = []
     r = 0
-    for j in range(ncols):
+    for j in range(len(a[0]) if a else 0):
         piv = next((i for i in range(r, len(a)) if a[i][j]), None)
         if piv is None:
             continue
@@ -74,22 +57,26 @@ def rref(rows):
         r += 1
         if r == len(a):
             break
-    return [[_exact(x, row[j]) for x in row] for row, j in zip(a, pivots)], pivots
+    d = math.lcm(1, *(row[j] // math.gcd(*row) for row, j in zip(a, pivots)))
+    out = [[x * d // row[j] for x in row] for row, j in zip(a, pivots)]
+    return EchelonBasis(out, d, pivots)
 
 
 def nullspace(rows, ncols):
     """Basis of {v : A v = 0} for A with ncols columns, as a list of
     primitive integer vectors."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    span = rref(rows)
+    pivot_set = set(span.pivots)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [0] * ncols
-        v[f] = 1
-        for row, pj in zip(red, pivots):
+        v[f] = span.denom
+        for row, pj in zip(span.rows, span.pivots):
             v[pj] = -row[f]
-        basis.append(_times(v, _denominator(v)))
+        g = math.gcd(*v)
+        basis.append([x // g for x in v])
     return basis
 
 
@@ -97,7 +84,8 @@ def nullspace(rows, ncols):
 class EchelonBasis:
     """Reduced echelon basis of a span, held in integers: rows[i] / denom is
     the i-th reduced row and pivots[i] its pivot column, so a vector w of
-    the span is sum_i w[pivots[i]] * rows[i] / denom."""
+    the span is sum_i w[pivots[i]] * rows[i] / denom. denom > 0 is the least
+    common denominator of the reduced rows, so every pivot entry is denom."""
 
     rows: list
     denom: int
@@ -105,20 +93,20 @@ class EchelonBasis:
 
     @classmethod
     def of(cls, vectors):
-        """Echelon basis of the span of independent vectors."""
-        red, pivots = rref(vectors)
-        if len(pivots) != len(vectors):
+        """Echelon basis of the span of independent integer vectors."""
+        span = rref(vectors)
+        if len(span.pivots) != len(vectors):
             raise ValueError("basis vectors are not independent")
-        d = _denominator(x for row in red for x in row)
-        return cls([_times(row, d) for row in red], d, pivots)
+        return span
 
 
 def restrict_operator(op, span):
-    """Matrix of op on an EchelonBasis span, in its echelon basis.
+    """K with K / span.denom the matrix of op on an EchelonBasis span, in its
+    echelon basis.
 
-    Each image op * rows[j] is read at the pivot columns. Raises ValueError
-    unless the span is stable under op, i.e. unless op * rows[j] is exactly
-    sum_i (op * rows[j])[pivots[i]] * rows[i] / denom.
+    Column j of K is op * rows[j] read at the pivot columns. Raises
+    ValueError unless the span is stable under op, i.e. unless op * rows[j]
+    is exactly sum_i (op * rows[j])[pivots[i]] * rows[i] / denom.
     """
     d = span.denom
     columns = list(zip(*span.rows))
@@ -128,7 +116,7 @@ def restrict_operator(op, span):
         k = [w[p] for p in span.pivots]
         if any(sum(map(mul, k, col)) != d * x for col, x in zip(columns, w)):
             raise ValueError("span is not stable under the operator")
-        out.append([_exact(x, d) for x in k])
+        out.append(k)
     return [list(row) for row in zip(*out)]
 
 
@@ -187,19 +175,18 @@ def _charpoly_mod(k, p):
     return c[n]
 
 
-def charpoly(a):
-    """Characteristic polynomial det(X*I - A) as an IntPoly.
+def charpoly(k, d=1):
+    """Characteristic polynomial det(X*I - K/d) of an int matrix K, as an
+    IntPoly.
 
-    With A = K/d, K integral, the coefficients c_j of det(X*I - K) are found
-    modulo primes below 2^61 and joined by CRT until the modulus exceeds
-    2 * prod(1 + B_i), B_i >= the Euclidean norm of row i of K. By Hadamard a
-    principal minor is at most the product of its rows' norms, so
-    sum |c_j| <= prod(1 + B_i) and the symmetric lift is exact. The
-    coefficient of X^j in det(X*I - A) is c_j / d^(n-j), asserted integral.
+    The coefficients c_j of det(X*I - K) are found modulo primes below 2^61
+    and joined by CRT until the modulus exceeds 2 * prod(1 + B_i), B_i >=
+    the Euclidean norm of row i of K. By Hadamard a principal minor is at
+    most the product of its rows' norms, so sum |c_j| <= prod(1 + B_i) and
+    the symmetric lift is exact. The coefficient of X^j in det(X*I - K/d) is
+    c_j / d^(n-j), asserted integral.
     """
-    n = len(a)
-    d = _denominator(x for row in a for x in row)
-    k = [_times(row, d) for row in a]
+    n = len(k)
     bound = 2 * math.prod(2 + math.isqrt(sum(x * x for x in row)) for row in k)
     coeffs, modulus, i = [0] * (n + 1), 1, 0
     while modulus <= bound:
@@ -221,22 +208,14 @@ def charpoly(a):
     return IntPoly(out)
 
 
-def apply_poly(f, a):
-    """f(A) for an IntPoly f and square matrix A.
-
-    Horner runs in int on B = d*A, d the common denominator of A, and gives
-    d^deg(f) * f(A), which is divided by d^deg(f) once.
-    """
-    n = len(a)
-    d = _denominator(x for row in a for x in row)
-    b = [_times(row, d) for row in a]
+def apply_poly(f, b, d=1):
+    """d^deg(f) * f(B/d) for an IntPoly f and a square int matrix B, by
+    Horner in int; its kernel is that of f(B/d)."""
+    n = len(b)
     acc = [[0] * n for _ in range(n)]
     for k, c in enumerate(reversed(f.coeffs)):
         if k:
             acc = mat_mul(acc, b)
         for i in range(n):
             acc[i][i] += c * d**k
-    den = d ** max(len(f.coeffs) - 1, 0)
-    if den == 1:
-        return acc
-    return [[_exact(x, den) for x in row] for row in acc]
+    return acc

@@ -422,7 +422,8 @@ class Subspace:
         return len(self.echelon.rows)
 
     def hecke_matrix(self, p):
-        """Matrix of T_p restricted to this subspace, in its echelon basis."""
+        """K with K / echelon.denom the matrix of T_p restricted to this
+        subspace, in its echelon basis."""
         if p not in self._matrices:
             full = self.space.hecke_matrix(p)
             self._matrices[p] = restrict_operator(full, self.echelon)
@@ -430,7 +431,7 @@ class Subspace:
 
     def hecke_charpoly(self, p):
         if p not in self._charpolys:
-            self._charpolys[p] = charpoly(self.hecke_matrix(p))
+            self._charpolys[p] = charpoly(self.hecke_matrix(p), self.echelon.denom)
         return self._charpolys[p]
 
 
@@ -534,7 +535,7 @@ def decompose_into_classes(sub):
                 continue
             m = piece.hecke_matrix(p)
             for fac, mult in factors:
-                part = _kernel_subspace(piece, apply_poly(fac, m))
+                part = _kernel_subspace(piece, apply_poly(fac, m, piece.echelon.denom))
                 # exact check that ker f(T_p) is the whole primary part
                 assert part.dimension == fac.degree * mult
                 part._charpolys[p] = fac**mult

@@ -553,6 +553,22 @@ def test_congforms_store_not_utf8_refused(runner, dataset71, tmp_path):
     assert store.read_bytes() == text
 
 
+def test_congforms_store_reads_a_byte_order_mark(runner, dataset71, tmp_path):
+    """A store that starts with a UTF-8 byte-order mark still knows its
+    first record: congforms --store adds no second copy of it, and compact
+    keeps one."""
+    store = tmp_path / "store.txt"
+    args = ["congforms", "--f", f"{dataset71}#71.2.a", "--g", f"{dataset71}#71.2.b"]
+    args += ["--store", str(store)]
+    assert _run(runner, args).exit_code == 0
+    text = "\ufeff".encode() + store.read_bytes()
+    store.write_bytes(text)
+    assert _run(runner, args).exit_code == 0
+    assert store.read_bytes() == text
+    assert _run(runner, ["compact", "--store", str(store)]).exit_code == 0
+    assert store.read_text(encoding="utf-8").count("RESULT ") == 1
+
+
 def test_compact_refuses_a_directory(runner, tmp_path):
     store = tmp_path / "directory"
     store.mkdir()
@@ -597,6 +613,18 @@ def test_levelraise_17(runner, tmp_path):
         runner, ["levelraise", "--f", f"{path}#17.2.a", "--p", "4", "--ell", "3"]
     )
     assert r2.exit_code == 2
+
+
+def test_levelraise_reads_a_byte_order_mark(runner, tmp_path):
+    """A dataset that starts with a UTF-8 byte-order mark reads as without."""
+    r = _run(runner, ["charpoly", "--level", "17", "--p", "2", "--p", "59"])
+    assert r.exit_code == 0
+    path = tmp_path / "17.txt"
+    path.write_text("\ufeff" + r.stdout, encoding="utf-8")
+    args = ["levelraise", "--f", f"{path}#17.2.a", "--p", "59", "--ell", "3"]
+    r = _run(runner, args)
+    assert r.exit_code == 0
+    assert r.output.strip() == "e-=2 (c=72), e+=1 (c=48)"
 
 
 def test_levelraise_not_coprime(runner, tmp_path):

@@ -160,6 +160,22 @@ def test_store_not_utf8_refused_and_kept(tmp_path, call):
     assert not (tmp_path / "results.txt.compact").exists()
 
 
+def test_store_reads_a_byte_order_mark(tmp_path):
+    """A leading UTF-8 byte-order mark is not part of the first record's
+    key, and append writes only at the end, so it adds none."""
+    path = tmp_path / "results.txt"
+    text = "\ufeff".encode() + "\n".join(result_lines(_record())).encode() + b"\n"
+    path.write_bytes(text)
+    store = ResultsStore(str(path))
+    assert store.read_text() == text.decode("utf-8")[1:]
+    assert store.append(_record()) is False
+    assert store.append(_record(opts="other")) is True
+    added = "\n".join(result_lines(_record(opts="other"))) + "\n"
+    assert path.read_bytes() == text + added.encode()
+    store.compact()
+    assert store.read_text().count("RESULT ") == 2
+
+
 def test_store_appends_survive_concurrent_compaction(tmp_path):
     # an append that waited on the lock during a compaction must land in the
     # new store file, not in the replaced one

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -34,17 +33,35 @@ rect = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 )
 
 
-@given(rect)
-@settings(max_examples=80)
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of up to 7 rows, the empty one included, with some
+    rows integer combinations of others (a zero row when there are none)."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        n = len(rows)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@given(int_matrices())
+@settings(max_examples=150)
 def test_rref_matches_sympy(rows):
-    red, piv = rref(rows)
+    span = rref(rows)
+    d = span.denom
+    assert d > 0
+    assert all(row[j] == d for row, j in zip(span.rows, span.pivots))
+    assert math.gcd(d, *(x for row in span.rows for x in row)) == 1
+    if not rows:
+        assert span == EchelonBasis([], 1, [])
+        return
     sred, spiv = sympy.Matrix(rows).rref()
-    assert list(piv) == list(spiv)
-    want = [
-        [Fraction(int(sred[i, j].p), int(sred[i, j].q)) for j in range(sred.cols)]
-        for i in range(len(piv))
-    ]
-    assert red == want
+    assert span.pivots == list(spiv)
+    got = [[sympy.Rational(x, d) for x in row] for row in span.rows]
+    assert got == sred[: len(spiv), :].tolist()
 
 
 @given(rect)
@@ -54,7 +71,7 @@ def test_nullspace_is_kernel(rows):
     basis = nullspace(rows, ncols)
     for v in basis:
         assert all(x == 0 for x in mat_vec(rows, v))
-    assert len(basis) == ncols - len(rref(rows)[1])
+    assert len(basis) == ncols - len(rref(rows).pivots)
 
 
 @given(square)
@@ -75,19 +92,19 @@ def test_cayley_hamilton():
     rng = random.Random(5)
     for _ in range(10):
         n = rng.randrange(1, 5)
-        a = [[Fraction(rng.randrange(-5, 6)) for _ in range(n)] for _ in range(n)]
+        a = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
         chi = charpoly(a)
         z = apply_poly(chi, a)
         assert all(x == 0 for row in z for x in row)
 
 
 def test_echelon_basis_and_restrict():
-    span = EchelonBasis.of([[2, 4, 6], [1, 1, Fraction(3, 2)]])
+    span = EchelonBasis.of([[2, 4, 6], [2, 2, 3]])
     # reduced rows (1, 0, 0) and (0, 1, 3/2) over the common denominator 2
     assert (span.rows, span.denom, span.pivots) == ([[2, 0, 0], [0, 2, 3]], 2, [0, 1])
-    # operator scaling by 2 restricted to any span is 2*I
+    # operator scaling by 2 restricted to any span is 2*I, here 4*I over 2
     op = [[2 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert restrict_operator(op, span) == [[2, 0], [0, 2]]
+    assert restrict_operator(op, span) == [[4, 0], [0, 4]]
     # a swap of the last two coordinates on the span of e1 and e2 + e3
     swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     span = EchelonBasis.of([[1, 0, 0], [0, 3, 3]])
@@ -100,13 +117,13 @@ def test_echelon_basis_and_restrict():
 
 
 def test_restrict_operator_rejects_unstable_span():
-    span = EchelonBasis.of([[Fraction(1), Fraction(0)]])
+    span = EchelonBasis.of([[1, 0]])
     with pytest.raises(ValueError):
         restrict_operator([[0, 0], [1, 0]], span)
     # stable on the first coordinate, not on the span of e1 + e3 / 3
     op = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
     with pytest.raises(ValueError):
-        restrict_operator(op, EchelonBasis.of([[1, 0, Fraction(1, 3)]]))
+        restrict_operator(op, EchelonBasis.of([[3, 0, 1]]))
 
 
 def test_restriction_matches_solved_coordinates():
@@ -123,7 +140,7 @@ def test_restriction_matches_solved_coordinates():
         span = EchelonBasis.of(ker)
         m = restrict_operator(a, span)
         b = sympy.Matrix(span.rows).T / span.denom
-        assert sympy.Matrix(a) * b == b * sympy.Matrix(m)
+        assert sympy.Matrix(a) * b == b * sympy.Matrix(m) / span.denom
 
 
 def test_cayley_hamilton_with_denominators():
@@ -131,18 +148,17 @@ def test_cayley_hamilton_with_denominators():
     for den in (3, 4):
         for _ in range(10):
             n = rng.randrange(1, 6)
-            a = [[Fraction(rng.randrange(-9, 10), den) for _ in range(n)] for _ in range(n)]
-            chi = IntPoly(
-                [int(c * den**n) for c in reversed(sympy.Matrix(a).charpoly().all_coeffs())]
-            )
-            z = apply_poly(chi, a)
+            b = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+            a = sympy.Matrix(b) / den
+            chi = IntPoly([int(c * den**n) for c in a.charpoly().all_coeffs()[::-1]])
+            z = apply_poly(chi, b, den)
             assert all(x == 0 for row in z for x in row)
-            # f(A) exactly, also where it is not integral
+            # den^3 f(A) exactly, also where f(A) is not integral
             f = IntPoly([1, -2, 0, 1])
-            want = sympy.Matrix(a) ** 3 - 2 * sympy.Matrix(a) + sympy.eye(n)
-            got = apply_poly(f, a)
+            want = den**3 * (a**3 - 2 * a + sympy.eye(n))
+            got = apply_poly(f, b, den)
             assert sympy.Matrix(got) == want
-            assert all(type(x) is int for row in got for x in row if x.denominator == 1)
+            assert all(type(x) is int for row in got for x in row)
 
 
 @given(square, square)
@@ -175,20 +191,20 @@ def _sympy_charpoly(a):
 @settings(max_examples=60, deadline=None)
 def test_charpoly_matches_sympy_with_denominators(data):
     m, scale, den = data
-    # D M D^-1 has denominators up to 12 and the integral charpoly of M
-    a = [
-        [Fraction(x * scale[i], scale[j]) for j, x in enumerate(row)]
+    # D M D^-1 = K / L has denominators up to 12 and the integral charpoly of M
+    lcd = math.lcm(*scale)
+    k = [
+        [x * scale[i] * (lcd // scale[j]) for j, x in enumerate(row)]
         for i, row in enumerate(m)
     ]
-    assert list(charpoly(a).coeffs) == _sympy_charpoly(m)
+    assert list(charpoly(k, lcd).coeffs) == _sympy_charpoly(m)
     # M / den: equal to sympy where integral, refused otherwise
-    b = [[Fraction(x, den) for x in row] for row in m]
-    want = _sympy_charpoly(b)
+    want = _sympy_charpoly(sympy.Matrix(m) / den)
     if all(c.q == 1 for c in want):
-        assert list(charpoly(b).coeffs) == [int(c) for c in want]
+        assert list(charpoly(m, den).coeffs) == [int(c) for c in want]
     else:
         with pytest.raises(AssertionError):
-            charpoly(b)
+            charpoly(m, den)
 
 
 def test_charpoly_large_entries_need_several_primes():
@@ -216,6 +232,6 @@ def test_charpoly_block_diagonal_and_small():
     assert charpoly([[0] * 4 for _ in range(4)]) == IntPoly([0, 0, 0, 0, 1])
     assert charpoly([]) == IntPoly([1])
     assert charpoly([[7]]) == IntPoly([-7, 1])
-    assert charpoly([[Fraction(-6, 2)]]) == IntPoly([3, 1])
+    assert charpoly([[-6]], 2) == IntPoly([3, 1])
     with pytest.raises(AssertionError):
-        charpoly([[Fraction(1, 2)]])
+        charpoly([[1]], 2)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,13 +496,46 @@ def test_full_space_hecke_matrices_are_int():
 def test_hecke_commutativity_on_new_subspace(n):
     new = cuspidal_new_subspace(build_space(n))
     if n in (110, 135, 145, 155):
-        # echelon denominators 2, 2, 2 and 6, so restriction divides by them
+        # echelon denominators 2, 2, 2 and 6; each matrix is denom * T_p
         assert new.echelon.denom > 1
     primes = [p for p in (2, 3, 5, 7, 11) if n % p]
     mats = {p: new.hecke_matrix(p) for p in primes}
     for p in primes:
         for q in primes:
             assert mat_mul(mats[p], mats[q]) == mat_mul(mats[q], mats[p])
+
+
+@pytest.mark.parametrize("n", [38, 62, 71])
+def test_restricted_hecke_matrices_are_int_over_denom(n):
+    """On the new subspace and on each class, T_p restricts to K / denom
+    with K an int matrix, also where the restriction is not integral
+    (levels 38, 62 and 71 have echelon denominators 2 and 4), and
+    charpoly(K, denom) is sympy's charpoly of K / denom."""
+    import sympy
+
+    new = cuspidal_new_subspace(build_space(n))
+    pieces = [new] + [cls._subspace for cls in decompose_into_classes(new)]
+    assert any(piece.echelon.denom > 1 for piece in pieces)
+    for piece in pieces:
+        d = piece.echelon.denom
+        for p in (q for q in (2, 3, 5, 7, 11, 13) if n % q):
+            k = piece.hecke_matrix(p)
+            assert all(type(x) is int for row in k for x in row)
+            want = (sympy.Matrix(k) / d).charpoly().all_coeffs()
+            assert list(charpoly(k, d).coeffs) == [int(c) for c in reversed(want)]
+
+
+def test_importing_modsym_loads_no_fractions():
+    src = str(Path(congruon.modsym.__file__).parents[1])
+    code = "import sys, congruon.modsym; print('fractions' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("n", [11, 37, 90, 135])
@@ -700,9 +736,9 @@ def test_level_71_export_work(monkeypatch, level, expected):
         work["factor_over_z"] += 1
         return factor_over_z(poly, *args)
 
-    def counted_charpoly(m):
-        work["charpoly_dim_sum"] += len(m)
-        return charpoly(m)
+    def counted_charpoly(k, d=1):
+        work["charpoly_dim_sum"] += len(k)
+        return charpoly(k, d)
 
     def counted_restrict(op, span):
         work["restrict_operator"] += 1

@@ -71,6 +71,8 @@ def primes_upto(bound):
 
 def valuation(p, n):
     """Exponent of the prime p in n != 0."""
+    if p < 2:
+        raise ValueError(f"valuation at {p}: p must be at least 2")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     n = abs(n)

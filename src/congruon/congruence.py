@@ -74,7 +74,7 @@ class CongruenceNumberResult:
             pairs = [_bounds_irreducible_pair(res, ell) for res in self._factor_pairs]
             lower = max((b.lower for b in pairs), default=0)
             upper = max((b.upper for b in pairs), default=0)
-            bounds = CongruenceBounds(ell, lower, upper, lower == upper, "factored")
+            bounds = CongruenceBounds(ell, lower, upper, "factored")
         self._bounds[ell] = bounds
         return bounds
 
@@ -147,14 +147,15 @@ class CongruenceBounds:
     ell: int
     lower: int
     upper: int
-    exact: bool
     case_tag: str
 
     def __post_init__(self):
         if self.lower > self.upper:
             raise ValueError("lower bound above upper bound")
-        if self.exact != (self.lower == self.upper):
-            raise ValueError("exact flag inconsistent with bounds")
+
+    @property
+    def exact(self):
+        return self.lower == self.upper
 
 
 def congruence_number(p, q):
@@ -217,24 +218,24 @@ def _bounds_irreducible_pair(res, ell):
     p, q = res.p, res.q
     n = valuation(ell, res.c)
     if n == 0:
-        return CongruenceBounds(ell, 0, 0, True, "a")
+        return CongruenceBounds(ell, 0, 0, "a")
     if n == 1:
-        return CongruenceBounds(ell, 1, 1, True, "b")
+        return CongruenceBounds(ell, 1, 1, "b")
     p_sqf = coprime_mod(p, p.derivative(), ell)
     q_sqf = coprime_mod(q, q.derivative(), ell)
     if p_sqf and q_sqf:
-        return CongruenceBounds(ell, n, n, True, "c-i")
+        return CongruenceBounds(ell, n, n, "c-i")
     if q_sqf and coprime_mod(res.s, q, ell):
-        return CongruenceBounds(ell, n, n, True, "c-ii")
+        return CongruenceBounds(ell, n, n, "c-ii")
     if p_sqf and coprime_mod(res.r, p, ell):
-        return CongruenceBounds(ell, n, n, True, "c-iii")
+        return CongruenceBounds(ell, n, n, "c-iii")
     if coprime_mod(res.s, q, ell):
         m = -(-n // q.degree)
-        return CongruenceBounds(ell, m, n, m == n, "d-i")
+        return CongruenceBounds(ell, m, n, "d-i")
     if coprime_mod(res.r, p, ell):
         m = -(-n // p.degree)
-        return CongruenceBounds(ell, m, n, m == n, "d-ii")
-    return CongruenceBounds(ell, 1, n, n == 1, "d-iii")
+        return CongruenceBounds(ell, m, n, "d-ii")
+    return CongruenceBounds(ell, 1, n, "d-iii")
 
 
 def difference_root_poly(p, q):

@@ -23,7 +23,6 @@ import fcntl
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import CongruonError, is_prime
 from .intpoly import IntPoly
@@ -86,10 +85,9 @@ class ComparisonRecord:
     g_id: str
     l_minus: int
     l_plus: int
-    sturm: Fraction
+    sturm: object  # a pipeline.SturmBound
     per_prime: tuple
     skipped_t_ell: bool = False
-    insufficient_primes: bool = False
     excluded_primes: tuple = ()
     shared_charpoly_primes: tuple = ()
     options_text: str = ""
@@ -97,6 +95,11 @@ class ComparisonRecord:
     def __post_init__(self):
         if self.l_plus % self.l_minus != 0:
             raise ValueError("L- must divide L+")
+
+    @property
+    def insufficient_primes(self):
+        """True when no prime is at most the Sturm bound."""
+        return not self.sturm.primes
 
     @property
     def options_hash(self):
@@ -132,7 +135,6 @@ def _fields(line, lineno, expected_keys):
 def parse_dataset(text):
     """Parse FORM/CP lines into a validated CharPolyDataset."""
     forms = {}
-    order = []
     last_p = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,7 +153,6 @@ def parse_dataset(text):
                 if v < 1:
                     raise FormatError(f"{k}={v} is below 1 at line {lineno}")
             forms[f["id"]] = NewformClass(**nums, class_id=f["id"])
-            order.append(f["id"])
         elif line.startswith("CP "):
             f = _fields(line, lineno, ["id", "p", "coeffs"])
             if f["id"] not in forms:
@@ -173,20 +174,23 @@ def parse_dataset(text):
             form.charpolys[p] = poly
         else:
             raise FormatError(f"unknown record {line.split()[0]!r} at line {lineno}")
-    return CharPolyDataset(tuple(forms[i] for i in order))
+    return CharPolyDataset(tuple(forms.values()))
+
+
+def _form_lines(form, charpolys):
+    """The FORM line of a class, then a CP line per prime of charpolys."""
+    yield (
+        f"FORM id={form.id} level={form.level} "
+        f"weight={form.weight} degree={form.degree}"
+    )
+    for p in sorted(charpolys):
+        coeffs = ",".join(str(c) for c in charpolys[p].coeffs)
+        yield f"CP id={form.id} p={p} coeffs={coeffs}"
 
 
 def serialize_dataset(dataset):
     """Canonical text for a dataset: FORM line then sorted CP lines per form."""
-    lines = []
-    for form in dataset.forms:
-        lines.append(
-            f"FORM id={form.id} level={form.level} "
-            f"weight={form.weight} degree={form.degree}"
-        )
-        for p in sorted(form.charpolys):
-            coeffs = ",".join(str(c) for c in form.charpolys[p].coeffs)
-            lines.append(f"CP id={form.id} p={p} coeffs={coeffs}")
+    lines = [line for form in dataset.forms for line in _form_lines(form, form.charpolys)]
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -194,13 +198,8 @@ def export_class(cls, primes):
     """Canonical dataset text for one class at the given primes."""
     if cls.id is None:
         raise ValueError("class has no id")
-    table = {}
-    for p in sorted(set(primes)):
-        table[p] = cls.class_charpoly(p)
-    snapshot = NewformClass(
-        cls.level, cls.weight, cls.degree, charpolys=table, class_id=cls.id
-    )
-    return serialize_dataset(CharPolyDataset((snapshot,)))
+    table = {p: cls.class_charpoly(p) for p in sorted(set(primes))}
+    return "\n".join(_form_lines(cls, table)) + "\n"
 
 
 def result_lines(record):
@@ -222,7 +221,7 @@ def result_lines(record):
     lines.append(
         f"RESULT f={record.f_id} g={record.g_id} "
         f"Lminus={record.l_minus} Lplus={record.l_plus} "
-        f"sturm={record.sturm.numerator}/{record.sturm.denominator} "
+        f"sturm={record.sturm.num}/{record.sturm.den} "
         "hyp314=1 "
         f"skipTl={int(record.skipped_t_ell)}"
     )

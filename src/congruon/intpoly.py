@@ -132,6 +132,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         result = IntPoly([1])
         base = self
         while e:

@@ -461,7 +461,9 @@ def cuspidal_new_subspace(space):
 
 
 class NewformClass:
-    """Galois conjugacy class of newforms, carried by its T_p charpolys."""
+    """Galois conjugacy class of newforms, carried by its T_p charpolys: a
+    dataset class by its table `charpolys`, an engine class by the memo of
+    its subspace (the charpoly of a d x d matrix is monic of degree d)."""
 
     def __init__(
         self,
@@ -479,13 +481,8 @@ class NewformClass:
         self.id = class_id
         self._subspace = subspace
         for p, poly in self.charpolys.items():
-            self._validate(p, poly)
-
-    def _validate(self, p, poly):
-        if not poly.is_monic or poly.degree != self.degree:
-            raise ValueError(
-                f"charpoly at p={p} must be monic of degree {self.degree}"
-            )
+            if not poly.is_monic or poly.degree != degree:
+                raise ValueError(f"charpoly at p={p} must be monic of degree {degree}")
 
     def class_charpoly(self, p):
         """P_{f,p}: monic degree-d charpoly of T_p on the class."""
@@ -497,10 +494,7 @@ class NewformClass:
             raise CharpolyMissingError(
                 f"charpoly for p={p} not available on class {self.id}"
             )
-        poly = self._subspace.hecke_charpoly(p)
-        self._validate(p, poly)
-        self.charpolys[p] = poly
-        return poly
+        return self._subspace.hecke_charpoly(p)
 
 
 def _kernel_subspace(piece, op):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import factorize, index_gamma0, is_prime, primes_upto, valuation
 from .congruence import NotCoprimeError, PreconditionError, congruence_number
@@ -18,21 +17,21 @@ from .intpoly import IntPoly
 
 @dataclass(frozen=True)
 class SturmBound:
-    """B = k*b/12 - (b-1)/N with b the index of Gamma0(N)."""
+    """B = k*b/12 - (b-1)/N with b the index of Gamma0(N), as num/den in
+    lowest terms with den > 0."""
 
-    n: int
-    k: int
-    b: int
-    bound: Fraction
+    num: int
+    den: int
 
     def __post_init__(self):
-        assert self.bound == Fraction(self.k * self.b, 12) - Fraction(self.b - 1, self.n)
+        if self.den < 1 or math.gcd(self.num, self.den) != 1:
+            raise ValueError("a Sturm bound is num/den in lowest terms, den > 0")
 
     @property
     def primes(self):
         """Primes p <= B, p == B included: for an integer p >= 2, p <= B
-        exactly when p <= int(B), and a B below 2 gives none."""
-        return primes_upto(self.bound)
+        exactly when p <= floor(B), and a B below 2 gives none."""
+        return primes_upto(self.num // self.den)
 
 
 @dataclass
@@ -45,7 +44,9 @@ class ComparisonOptions:
 
 def sturm_bound(n, k):
     b = index_gamma0(n)
-    return SturmBound(n, k, b, Fraction(k * b, 12) - Fraction(b - 1, n))
+    num, den = k * b * n - 12 * (b - 1), 12 * n
+    g = math.gcd(num, den)
+    return SturmBound(num // g, den // g)
 
 
 def modified_gcd_combine(entries):
@@ -63,6 +64,8 @@ def modified_gcd_combine(entries):
     if len(set(primes)) != len(primes):
         raise ValueError("duplicate primes in modified gcd input")
     for p, c in entries:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if c < 1:
             raise ValueError("congruence numbers must be >= 1")
     if len(entries) == 1:
@@ -123,7 +126,6 @@ def compare_newforms(f, g, opts=None):
     level = math.lcm(f.level, g.level)
     sb = sturm_bound(level, k)
     primes = sb.primes
-    insufficient = not primes
     if opts.prime_cutoff_override is not None:
         primes = primes_upto(opts.prime_cutoff_override)
     if not primes:
@@ -200,10 +202,9 @@ def compare_newforms(f, g, opts=None):
         g_id=g.id or "g",
         l_minus=l_minus,
         l_plus=l_plus,
-        sturm=sb.bound,
+        sturm=sb,
         per_prime=tuple(details),
         skipped_t_ell=opts.skip_t_ell,
-        insufficient_primes=insufficient,
         excluded_primes=tuple(excluded),
         shared_charpoly_primes=tuple(shared),
         options_text=options_text(opts),
@@ -243,12 +244,12 @@ def eisenstein_scan(f, prime_cutoff_override=None):
     Compares f with E. Returns an EisensteinEntry per residue prime ell
     dividing L+: the exponent is v_ell(L-), the min over good p != ell of the
     exact congruence exponent of (P_{f,p}, X - (1+p)), together with
-    v_ell(numerator((N-1)/12)) for context.
+    v_ell((N-1)/gcd(N-1, 12)), the numerator of (N-1)/12, for context.
     """
     check_eisenstein_level(f.level)
     opts = ComparisonOptions(prime_cutoff_override=prime_cutoff_override)
     record = compare_newforms(f, _Eisenstein(f.level), opts)
-    mazur = Fraction(f.level - 1, 12).numerator
+    mazur = (f.level - 1) // math.gcd(f.level - 1, 12)
     return [
         EisensteinEntry(ell, valuation(ell, record.l_minus), valuation(ell, mazur))
         for ell in sorted(factorize(record.l_plus))

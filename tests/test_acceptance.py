@@ -157,7 +157,7 @@ def test_criterion_6_oldspace_charpoly_identities():
 def test_criterion_7_sturm_bounds_and_indices():
     with _report(7, "Sturm bound 11 at level 71; level 11 has no primes below its bound"):
         sb = sturm_bound(71, 2)
-        assert sb.bound == 11 and sb.primes == [2, 3, 5, 7, 11]
+        assert (sb.num, sb.den) == (11, 1) and sb.primes == [2, 3, 5, 7, 11]
         sb11 = sturm_bound(11, 2)
         assert sb11.primes == []
         a = newform_classes(11)[0]

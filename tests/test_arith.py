@@ -1,5 +1,6 @@
 import math
 
+import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +35,13 @@ def test_valuation(p, n):
     if is_prime(p):
         v = valuation(p, n)
         assert n % p**v == 0 and (n // p**v) % p != 0
+
+
+@pytest.mark.parametrize("p", [1, -1, 0, -2, -3])
+def test_valuation_refuses_p_below_2(p):
+    """p = 1 and -1 divide every n, so no valuation at them is finite."""
+    with pytest.raises(ValueError, match="at least 2"):
+        valuation(p, 6)
 
 
 @given(st.integers(1, 10**12))

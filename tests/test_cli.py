@@ -190,6 +190,22 @@ def test_importing_the_cli_loads_no_click():
     assert out.stdout == "False\n"
 
 
+def test_importing_the_cli_loads_no_fractions_or_decimal():
+    src = str(Path(congruon.__file__).parents[1])
+    code = (
+        "import sys, congruon.cli; "
+        "print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False False\n"
+
+
 # --- the parse contract -------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from sympy.polys.subresultants_qq_zz import sylvester
 import congruon.congruence
 from congruon.arith import valuation
 from congruon.congruence import (
+    CongruenceBounds,
     CongruenceNumberResult,
     NotCoprimeError,
     PreconditionError,
@@ -530,6 +531,13 @@ def test_has_repeated_factor_matches_gcd_over_q(roots, repeats, lead):
 )
 def test_has_repeated_factor_fallback(poly, repeated):
     assert _has_repeated_factor.__wrapped__(poly) is repeated
+
+
+def test_bounds_are_exact_when_they_meet():
+    assert CongruenceBounds(3, 2, 2, "c-i").exact
+    assert not CongruenceBounds(2, 2, 4, "d-i").exact
+    with pytest.raises(ValueError, match="lower bound above"):
+        CongruenceBounds(2, 3, 2, "d-i")
 
 
 def test_bounds_cases_reachable():

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -20,7 +19,7 @@ from congruon.hecke_io import (
 )
 from congruon.intpoly import IntPoly
 from congruon.modsym import NewformClass, newform_classes
-from congruon.pipeline import ComparisonOptions
+from congruon.pipeline import ComparisonOptions, SturmBound
 
 SAMPLE = """\
 # a comment line
@@ -85,7 +84,7 @@ def _record(f="f.a", g="g.b", opts="abc123"):
         g_id=g,
         l_minus=18,
         l_plus=18,
-        sturm=Fraction(11),
+        sturm=SturmBound(11, 1),
         per_prime=(PerPrimeDetail(2, 9, 9, "cn"), PerPrimeDetail(11, 144, 18, "np")),
         options_text=opts,
     )
@@ -93,7 +92,7 @@ def _record(f="f.a", g="g.b", opts="abc123"):
 
 def test_record_invariants():
     with pytest.raises(ValueError):
-        ComparisonRecord("f", "g", 5, 18, Fraction(11), ())
+        ComparisonRecord("f", "g", 5, 18, SturmBound(11, 1), ())
     with pytest.raises(ValueError):
         PerPrimeDetail(2, 9, 9, "bogus")
 

@@ -119,6 +119,15 @@ def _assert_factors_match_sympy(f):
     assert prod == f.primitive_part() or prod == -f.primitive_part()
 
 
+def test_power_refuses_a_negative_exponent():
+    """IntPoly has no inverses, and e >>= 1 never brings a negative e to 0."""
+    assert IntPoly([1, 1]) ** 0 == IntPoly([1])
+    assert IntPoly([1, 1]) ** 3 == IntPoly([1, 3, 3, 1])
+    for e in (-1, -2):
+        with pytest.raises(ValueError, match="negative exponent"):
+            IntPoly([1, 1]) ** e
+
+
 def test_factor_high_multiplicity():
     f = IntPoly([1, 1]) ** 80
     assert factor_over_z(f) == [(IntPoly([1, 1]), 80)]

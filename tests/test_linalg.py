@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruon.intpoly import IntPoly
+from congruon.intpoly import IntPoly, factor_over_z
 from congruon.linalg import (
     EchelonBasis,
     apply_poly,
@@ -127,20 +127,35 @@ def test_restrict_operator_rejects_unstable_span():
 
 
 def test_restriction_matches_solved_coordinates():
-    # B M = A B for the echelon basis B, against sympy's solve
+    """B M = A B for the echelon basis B of a stable span, against sympy.
+    A = U D adj(U) for a block-diagonal D (blocks of size 1 and 2) and an
+    invertible U, and the spans are the kernels of f(A) for the irreducible
+    factors f of A's charpoly: none is empty, and many are spanned by
+    columns of U whose reduced echelon rows have a denominator."""
     rng = random.Random(11)
+    denoms = []
     for _ in range(20):
         n = rng.randrange(2, 6)
-        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        # a stable span: the kernel of a polynomial in A
-        f = IntPoly([rng.randrange(-3, 4), rng.randrange(-3, 4), 1])
-        ker = nullspace(apply_poly(f, a), n)
-        if not ker:
-            continue
-        span = EchelonBasis.of(ker)
-        m = restrict_operator(a, span)
-        b = sympy.Matrix(span.rows).T / span.denom
-        assert sympy.Matrix(a) * b == b * sympy.Matrix(m) / span.denom
+        d = sympy.zeros(n, n)
+        i = 0
+        while i < n:
+            size = min(rng.randrange(1, 3), n - i)
+            for r in range(i, i + size):
+                for c in range(i, i + size):
+                    d[r, c] = rng.randrange(-4, 5)
+            i += size
+        u = sympy.zeros(n, n)
+        while not u.det():
+            u = sympy.Matrix(n, n, lambda *_: rng.randrange(-3, 4))
+        a = [[int(x) for x in row] for row in (u * d * u.adjugate()).tolist()]
+        for f, _ in factor_over_z(charpoly(a)):
+            span = EchelonBasis.of(nullspace(apply_poly(f, a), n))
+            assert span.rows
+            m = restrict_operator(a, span)
+            b = sympy.Matrix(span.rows).T / span.denom
+            assert sympy.Matrix(a) * b == b * sympy.Matrix(m) / span.denom
+            denoms.append(span.denom)
+    assert sum(d > 1 for d in denoms) >= 20, denoms
 
 
 def test_cayley_hamilton_with_denominators():

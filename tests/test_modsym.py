@@ -753,6 +753,27 @@ def test_level_71_export_work(monkeypatch, level, expected):
     assert work == expected
 
 
+def test_engine_class_charpoly_is_memoised(monkeypatch):
+    """An engine class reads its subspace's memo and holds no table of its
+    own: a second class_charpoly(p) returns the same object and takes no
+    second charpoly."""
+    classes = newform_classes(23)
+    dims, charpoly = [], congruon.modsym.charpoly
+
+    def counted_charpoly(k, d=1):
+        dims.append(len(k))
+        return charpoly(k, d)
+
+    monkeypatch.setattr(congruon.modsym, "charpoly", counted_charpoly)
+    for cls in classes:
+        dims.clear()
+        first = cls.class_charpoly(13)
+        assert dims == [cls.degree]
+        assert cls.class_charpoly(13) is first
+        assert dims == [cls.degree]
+        assert cls.charpolys == {}
+
+
 def test_classes_split_at_a_prime_above_13(monkeypatch):
     """A piece is a class once its T_p charpoly is irreducible at any
     splitting prime: with 2..13 withheld, T_17 splits level 37 into 37b

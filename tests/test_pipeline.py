@@ -13,6 +13,7 @@ from congruon.pipeline import (
     ComparisonOptions,
     NotCoprimeError,
     PreconditionError,
+    SturmBound,
     compare_newforms,
     eisenstein_scan,
     index_gamma0,
@@ -31,11 +32,26 @@ def test_index_gamma0():
 
 def test_sturm_bound_values():
     sb = sturm_bound(71, 2)
-    assert sb.bound == 11
+    assert (sb.num, sb.den) == (11, 1)
     assert sb.primes == [2, 3, 5, 7, 11]  # p == B is included
     sb11 = sturm_bound(11, 2)
-    assert sb11.bound == 1 and sb11.primes == []
-    assert sturm_bound(1, 12).bound == 1
+    assert (sb11.num, sb11.den) == (1, 1) and sb11.primes == []
+    assert (sturm_bound(1, 12).num, sturm_bound(1, 12).den) == (1, 1)
+
+
+def test_sturm_bound_is_exact_in_lowest_terms():
+    """num/den is k*b/12 - (b-1)/N in lowest terms, and its primes are those
+    up to it, at every level up to 400 and weights 2, 4 and 12."""
+    for n in range(1, 401):
+        b = index_gamma0(n)
+        for k in (2, 4, 12):
+            sb = sturm_bound(n, k)
+            want = Fraction(k * b, 12) - Fraction(b - 1, n)
+            assert (sb.num, sb.den) == (want.numerator, want.denominator), (n, k)
+            assert sb.primes == primes_upto(math.floor(want)), (n, k)
+    for num, den in ((22, 2), (11, 0), (11, -1), (-11, -1)):
+        with pytest.raises(ValueError):
+            SturmBound(num, den)
 
 
 def test_modified_gcd_examples():
@@ -46,6 +62,16 @@ def test_modified_gcd_examples():
         modified_gcd_combine([])
     with pytest.raises(ValueError):
         modified_gcd_combine([(2, 4), (2, 8)])
+
+
+@pytest.mark.parametrize("p", [1, -1, 0, 4, -2])
+def test_modified_gcd_refuses_a_non_prime(p):
+    """A non-prime p is refused, before the valuation of the p-part, which
+    p = 1 and -1 would never finish."""
+    with pytest.raises(ValueError, match="not prime"):
+        modified_gcd_combine([(p, 6), (3, 3)])
+    with pytest.raises(ValueError, match="not prime"):
+        modified_gcd_combine([(2, 3), (p, 6)])
 
 
 def test_modified_gcd_valuation_semantics():
@@ -109,7 +135,7 @@ def _table1_pair(level):
 def test_table_rows():
     rec71 = _table1_pair(71)
     assert (rec71.l_minus, rec71.l_plus) == (18, 18)
-    assert rec71.sturm == 11
+    assert rec71.sturm == SturmBound(11, 1)
     rec109 = _table1_pair(109)
     assert (rec109.l_minus, rec109.l_plus) == (4, 4)
 

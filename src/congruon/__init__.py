@@ -5,7 +5,6 @@ from .congruence import (
     CongruenceBounds,
     CongruenceNumberResult,
     NotCoprimeError,
-    common_root_mod_ell,
     congruence_number,
     difference_root_poly,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "FactorizationCapError",
     "IntPoly",
     "NotCoprimeError",
-    "common_root_mod_ell",
     "congruence_number",
     "difference_root_poly",
     "factor_over_z",

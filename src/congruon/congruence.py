@@ -176,10 +176,6 @@ def congruence_number(p, q):
         raise ValueError("zero polynomial input")
     if not (p.is_monic and q.is_monic):
         raise PreconditionError("inputs must be monic")
-    if p.degree == 0:
-        return CongruenceNumberResult(1, IntPoly([1]), IntPoly(), p, q)
-    if q.degree == 0:
-        return CongruenceNumberResult(1, IntPoly(), IntPoly([1]), p, q)
     mod, other = (p, q) if p.degree <= q.degree else (q, p)
     m = mod.degree
     reduced = other.divmod_exact(mod)[1]
@@ -200,16 +196,6 @@ def congruence_number(p, q):
     w = (c - u * other).divmod_exact(mod)[0]  # the identity check verifies it
     r, s = (w, u) if mod is p else (u, w)
     return CongruenceNumberResult(c, r, s, p, q)
-
-
-def common_root_mod_ell(p, q, ell):
-    """True iff the reductions of P and Q mod ell share a nontrivial factor."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    by_number = congruence_number(p, q).c % ell == 0
-    by_gcd = not coprime_mod(p, q, ell)
-    assert by_number == by_gcd, "congruence number disagrees with mod-ell gcd"
-    return by_number
 
 
 def _bounds_irreducible_pair(res, ell):

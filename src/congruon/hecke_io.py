@@ -98,8 +98,8 @@ class ComparisonRecord:
 
     @property
     def insufficient_primes(self):
-        """True when no prime is at most the Sturm bound."""
-        return not self.sturm.primes
+        """True when no prime is at most the Sturm bound, i.e. it is below 2."""
+        return self.sturm.num < 2 * self.sturm.den
 
     @property
     def options_hash(self):
@@ -177,29 +177,18 @@ def parse_dataset(text):
     return CharPolyDataset(tuple(forms.values()))
 
 
-def _form_lines(form, charpolys):
-    """The FORM line of a class, then a CP line per prime of charpolys."""
-    yield (
-        f"FORM id={form.id} level={form.level} "
-        f"weight={form.weight} degree={form.degree}"
-    )
-    for p in sorted(charpolys):
-        coeffs = ",".join(str(c) for c in charpolys[p].coeffs)
-        yield f"CP id={form.id} p={p} coeffs={coeffs}"
-
-
-def serialize_dataset(dataset):
-    """Canonical text for a dataset: FORM line then sorted CP lines per form."""
-    lines = [line for form in dataset.forms for line in _form_lines(form, form.charpolys)]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def export_class(cls, primes):
     """Canonical dataset text for one class at the given primes."""
     if cls.id is None:
         raise ValueError("class has no id")
-    table = {p: cls.class_charpoly(p) for p in sorted(set(primes))}
-    return "\n".join(_form_lines(cls, table)) + "\n"
+    lines = [
+        f"FORM id={cls.id} level={cls.level} "
+        f"weight={cls.weight} degree={cls.degree}"
+    ]
+    for p in sorted(set(primes)):
+        coeffs = ",".join(str(c) for c in cls.class_charpoly(p).coeffs)
+        lines.append(f"CP id={cls.id} p={p} coeffs={coeffs}")
+    return "\n".join(lines) + "\n"
 
 
 def result_lines(record):

@@ -408,14 +408,11 @@ class Subspace:
     charpoly are memoised per prime; callers must not modify a returned
     matrix."""
 
-    def __init__(self, space, basis, check_stability=True):
+    def __init__(self, space, basis):
         self.space = space
         self.echelon = EchelonBasis.of(basis)
         self._matrices = {}
         self._charpolys = {}
-        if check_stability and self.dimension:
-            for p in (2, 3, 5, 7):  # raises unless T_p preserves the span
-                self.hecke_matrix(p)
 
     @property
     def dimension(self):
@@ -423,7 +420,7 @@ class Subspace:
 
     def hecke_matrix(self, p):
         """K with K / echelon.denom the matrix of T_p restricted to this
-        subspace, in its echelon basis."""
+        subspace, in its echelon basis; ValueError unless T_p preserves it."""
         if p not in self._matrices:
             full = self.space.hecke_matrix(p)
             self._matrices[p] = restrict_operator(full, self.echelon)
@@ -435,14 +432,9 @@ class Subspace:
         return self._charpolys[p]
 
 
-def cuspidal_subspace(space):
-    """Kernel of the boundary map."""
-    basis = nullspace(space.boundary_matrix(), space.dimension)
-    return Subspace(space, basis)
-
-
 def cuspidal_new_subspace(space):
-    """Cuspidal vectors killed by all degeneracy maps to lower levels."""
+    """Cuspidal vectors killed by all degeneracy maps to lower levels, checked
+    stable under T_2, T_3, T_5 and T_7 (U_p where p | N)."""
     stacked = space.boundary_matrix()
     for q in prime_divisors(space.n):
         # a divisor level is below a level that already passed its cap
@@ -451,8 +443,11 @@ def cuspidal_new_subspace(space):
             continue
         for t in (1, q):
             stacked.extend(space._action_sum(heilbronn_matrices(t), small, t))
-    basis = nullspace(stacked, space.dimension)
-    return Subspace(space, basis)
+    new = Subspace(space, nullspace(stacked, space.dimension))
+    if new.dimension:
+        for p in (2, 3, 5, 7):  # raises unless T_p preserves the span
+            new.hecke_matrix(p)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +496,7 @@ def _kernel_subspace(piece, op):
     """The subspace of piece killed by op, a matrix in piece's echelon basis."""
     ker = nullspace(op, piece.dimension)
     rows = mat_mul(ker, piece.echelon.rows)
-    return Subspace(piece.space, rows, check_stability=False)
+    return Subspace(piece.space, rows)
 
 
 def decompose_into_classes(sub):

@@ -125,9 +125,9 @@ def compare_newforms(f, g, opts=None):
     k = f.weight
     level = math.lcm(f.level, g.level)
     sb = sturm_bound(level, k)
-    primes = sb.primes
-    if opts.prime_cutoff_override is not None:
-        primes = primes_upto(opts.prime_cutoff_override)
+    # the Sturm primes only without a cutoff: at a large level B is huge
+    cutoff = opts.prime_cutoff_override
+    primes = sb.primes if cutoff is None else primes_upto(cutoff)
     if not primes:
         raise PreconditionError(
             "insufficient primes below the Sturm bound; pass a cutoff override"

@@ -14,7 +14,7 @@ from congruon.arith import valuation
 from congruon.congruence import congruence_number
 from congruon.intpoly import IntPoly, factor_over_z, gcd_over_q
 from congruon.linalg import mat_mul
-from congruon.modsym import build_space, cuspidal_subspace, newform_classes
+from congruon.modsym import build_space, newform_classes
 from congruon.pipeline import (
     ComparisonOptions,
     PreconditionError,
@@ -25,6 +25,7 @@ from congruon.pipeline import (
     oldspace_charpoly,
     sturm_bound,
 )
+from test_modsym import cuspidal_subspace
 
 
 @contextmanager

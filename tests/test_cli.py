@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import congruon.cli
 import congruon.congruence
 import congruon.modsym
+import congruon.pipeline
 from congruon import CongruonError
 from congruon.cli import main
 from congruon.hecke_io import export_class
@@ -104,7 +105,12 @@ def test_congpoly_pretty(runner):
 
 @pytest.mark.parametrize(
     "args, line",
-    [(["1", "0,1"], "c=1 r=1 s=0"), (["0,1", "1"], "c=1 r=0 s=1")],
+    [
+        (["1", "0,1"], "c=1 r=1 s=0"),
+        (["0,1", "1"], "c=1 r=0 s=1"),
+        (["1", "1,1"], "c=1 r=1 s=0"),
+        (["1", "1"], "c=1 r=1 s=0"),
+    ],
 )
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["plain", "pretty"])
 def test_congpoly_zero_cofactor_prints_0(runner, args, line, pretty):
@@ -456,6 +462,38 @@ def test_congforms_missing_charpoly(runner, tmp_path):
     )
     assert r.exit_code == 5
     assert r.stderr == "error: charpoly for p=3 not available on class f\n"
+
+
+def test_congforms_cutoff_sieves_no_sturm_primes(runner, tmp_path, monkeypatch):
+    """With --cutoff the Sturm bound is printed but its primes are never
+    listed: at the prime level 100000007 (B = 16666667) the comparison asks
+    primes_upto for the primes up to the cutoff 3 and nothing more."""
+    path = tmp_path / "d.txt"
+    path.write_text(
+        "".join(
+            f"FORM id={i} level=100000007 weight=2 degree=1\n"
+            f"CP id={i} p=2 coeffs={a2},1\nCP id={i} p=3 coeffs={a3},1\n"
+            for i, a2, a3 in (("f", 2, 1), ("g", -1, 3))
+        )
+    )
+    bounds, primes_upto = [], congruon.pipeline.primes_upto
+
+    def recorded(bound):
+        bounds.append(bound)
+        return primes_upto(bound)
+
+    monkeypatch.setattr(congruon.pipeline, "primes_upto", recorded)
+    r = _run(
+        runner, ["congforms", "--f", f"{path}#f", "--g", f"{path}#g", "--cutoff", "3"]
+    )
+    assert r.exit_code == 0
+    assert bounds and max(bounds) <= 3
+    assert r.output.splitlines() == [
+        "# cmp f=f g=g opts=1f2bc9e382d1",
+        "RESULT f=f g=g Lminus=6 Lplus=6 sturm=16666667/1 hyp314=1 skipTl=0",
+        "DETAIL f=f g=g p=2 c=3 d=3 method=cn",
+        "DETAIL f=f g=g p=3 c=2 d=2 method=cn",
+    ]
 
 
 def test_congforms_no_usable_prime(runner, tmp_path):

@@ -18,7 +18,6 @@ from congruon.congruence import (
     PreconditionError,
     _from_power_sums,
     _has_repeated_factor,
-    common_root_mod_ell,
     congruence_number,
     difference_root_poly,
 )
@@ -278,11 +277,41 @@ def test_non_monic_input_rejected():
         congruence_number(q, IntPoly([1, 1])).exponent(3)
 
 
+def common_root_mod_ell(p, q, ell):
+    """True iff the reductions of P and Q mod ell share a nontrivial factor;
+    asserts that the congruence number says the same (ell | c)."""
+    by_number = congruence_number(p, q).c % ell == 0
+    by_gcd = not coprime_mod(p, q, ell)
+    assert by_number == by_gcd, "congruence number disagrees with mod-ell gcd"
+    return by_number
+
+
 def test_common_root_mod_ell():
     p, q = IntPoly([12, 1]), IntPoly([-60, 1])  # c = 72 = 2^3 * 3^2
     assert common_root_mod_ell(p, q, 2)
     assert common_root_mod_ell(p, q, 3)
     assert not common_root_mod_ell(p, q, 5)
+
+
+# squarefree monic Q of degrees 0-4, and monic P of degrees 1-3
+_CONSTANT_PARTNERS = [[1], [0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, 1, 0, 0, 1]]
+_NONCONSTANT = [[3, 1], [-5, 0, 1], [1, 1, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "p, q, r, s",
+    [([1], q, [1], []) for q in _CONSTANT_PARTNERS]
+    + [(p, [1], [], [1]) for p in _NONCONSTANT],
+)
+def test_constant_input_record(p, q, r, s):
+    """A constant input (P = 1, or Q = 1 against nonconstant P) gives c = 1
+    with (r, s) = (1, 0), or (0, 1) when only Q is constant, and no
+    congruence at any ell: case a, exponent 0 by the congruence number."""
+    res = congruence_number(IntPoly(p), IntPoly(q))
+    assert (res.c, res.r, res.s) == (1, IntPoly(r), IntPoly(s))
+    for ell in (2, 3):
+        assert res.bounds(ell) == CongruenceBounds(ell, 0, 0, "a")
+        assert res.exponent(ell) == (0, "cn")
 
 
 def _sympy_difference_poly(p, q):

@@ -9,7 +9,6 @@ EXPORTS = [
     "FactorizationCapError",
     "IntPoly",
     "NotCoprimeError",
-    "common_root_mod_ell",
     "congruence_number",
     "difference_root_poly",
     "factor_over_z",

@@ -15,11 +15,17 @@ from congruon.hecke_io import (
     options_text,
     parse_dataset,
     result_lines,
-    serialize_dataset,
 )
 from congruon.intpoly import IntPoly
 from congruon.modsym import NewformClass, newform_classes
 from congruon.pipeline import ComparisonOptions, SturmBound
+
+
+def serialize_dataset(ds):
+    """Canonical text of a dataset: each form's FORM line, then its CP lines
+    by ascending prime."""
+    return "".join(export_class(f, f.charpolys) for f in ds.forms)
+
 
 SAMPLE = """\
 # a comment line

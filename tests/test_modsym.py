@@ -17,6 +17,7 @@ from congruon.linalg import (
     charpoly,
     mat_mul,
     mat_vec,
+    nullspace,
     restrict_operator,
 )
 from congruon.modsym import (
@@ -26,7 +27,6 @@ from congruon.modsym import (
     Subspace,
     build_space,
     cuspidal_new_subspace,
-    cuspidal_subspace,
     decompose_into_classes,
     heilbronn_matrices,
     newform_classes,
@@ -380,6 +380,19 @@ def test_degeneracy_matrices_equal_cusp_path_reference():
     assert checked == 504
 
 
+# --- reference cuspidal subspace: the kernel of the boundary map ------------
+
+
+def cuspidal_subspace(space):
+    """Kernel of the boundary map, checked stable under T_2, T_3, T_5 and T_7
+    (U_p where p | N)."""
+    cusp = Subspace(space, nullspace(space.boundary_matrix(), space.dimension))
+    if cusp.dimension:
+        for p in (2, 3, 5, 7):  # raises unless T_p preserves the span
+            cusp.hecke_matrix(p)
+    return cusp
+
+
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 22, 25, 37, 48, 49, 64, 71])
 def test_dimensions_match_oracle(n):
     """The plus quotient has dimension g - 1 + (cusps up to sign): the cusps
@@ -576,7 +589,7 @@ def test_restriction_to_unstable_span_rejected():
     with pytest.raises(ValueError):
         restrict_operator(space.hecke_matrix(2), EchelonBasis.of([v]))
     with pytest.raises(ValueError):
-        Subspace(space, [v])
+        Subspace(space, [v]).hecke_matrix(2)
 
 
 def test_path_vector_boundary_consistency():
@@ -617,6 +630,31 @@ def test_new_subspace():
     _, genus55, _ = _oracle_invariants(55)
     assert cuspidal_subspace(space55).dimension == genus55
     assert cuspidal_new_subspace(space55).dimension == genus55 - 2
+
+
+def test_new_subspace_is_checked_stable_when_built():
+    """At level 30 = 2*3*5, which has a new class, building the new subspace
+    restricts T_2, T_3, T_5 and T_7 (U_p where p | N) to it."""
+    space = build_space(30)
+    new = cuspidal_new_subspace(space)
+    assert new.dimension == _new_dimension(30) > 0
+    assert sorted(new._matrices) == [2, 3, 5, 7]
+    for p in (2, 3, 5, 7):
+        assert new._matrices[p] == restrict_operator(space.hecke_matrix(p), new.echelon)
+
+
+def test_new_subspace_refuses_an_unstable_span(monkeypatch):
+    """A kernel that gains a vector the Hecke operators move is refused as it
+    is built, before any class is split off it."""
+    space = build_space(30)
+    extra = space.symbol_vector(space.generator_symbols()[0])
+
+    def with_extra(rows, ncols):
+        return nullspace(rows, ncols) + [extra]
+
+    monkeypatch.setattr(congruon.modsym, "nullspace", with_extra)
+    with pytest.raises(ValueError, match="not stable"):
+        cuspidal_new_subspace(space)
 
 
 def _new_dimension(n):

@@ -115,7 +115,7 @@ def factorize(n):
             n //= d
         d += 2
     if n > 1:
-        rng = random.Random(0xC0FFEE)
+        rng = None  # seeded only once a composite cofactor remains
         stack = [n]
         while stack:
             m = stack.pop()
@@ -124,6 +124,7 @@ def factorize(n):
             if is_prime(m):
                 factors[m] = factors.get(m, 0) + 1
                 continue
+            rng = rng or random.Random(0xC0FFEE)
             d = _pollard_rho(m, rng)
             stack.append(d)
             stack.append(m // d)

@@ -16,10 +16,11 @@ from functools import cached_property, lru_cache
 from operator import add, mul
 
 from .arith import CongruonError, is_prime, valuation
-from .intpoly import IntPoly, coprime_mod, factor_over_z, gcd_over_q
+from .intpoly import IntPoly, _add, _coprime, _divmod, _mul, _pm_trim, _reduce
+from .intpoly import coprime_mod, factor_over_z, gcd_over_q
 from .linalg import rref
 
-_SQUAREFREE_PRIME = 2**31 - 1  # the prime q of _has_repeated_factor
+_SQUAREFREE_PRIME = 32749  # the prime q of _has_repeated_factor, below 2^15
 
 
 class PreconditionError(CongruonError, ValueError):
@@ -51,7 +52,9 @@ class CongruenceNumberResult:
     q: IntPoly
 
     def __post_init__(self):
-        if self.r * self.p + self.s * self.q != IntPoly([self.c]):
+        rp = _mul(self.r.coeffs, self.p.coeffs)
+        lhs = _add(rp, _mul(self.s.coeffs, self.q.coeffs))
+        if _pm_trim(lhs) != _pm_trim([self.c]):
             raise ValueError("cofactor identity r*P + s*Q = c fails")
         if self.q.degree > 0 and self.r.degree >= self.q.degree:
             raise ValueError("deg(r) must be below deg(Q)")
@@ -97,6 +100,11 @@ class CongruenceNumberResult:
         return {}
 
     @cached_property
+    def _derivatives(self):
+        """The coefficient lists of P' and Q', which every ell reduces."""
+        return self.p.derivative().coeffs, self.q.derivative().coeffs
+
+    @cached_property
     def _factor_pairs(self):
         """Records of the irreducible factor pairs, or None when neither
         input has a repeated factor over Q."""
@@ -120,12 +128,17 @@ def _first_slope_exponent(ell, f):
     f(0) != 0: the largest ceil(v_ell(y)) over the roots y of f. The polygon
     starts at (0, v_ell(a_0)), so the slope is the maximum over i >= 1 with
     a_i != 0 of (v_ell(a_0) - v_ell(a_i)) / i, and ceil commutes with max.
-    The term at i = deg f, where a_i = 1, is >= 0, so no clamp is needed.
+    The term at i = deg f, where a_i = 1, is >= 0, so the maximum is too.
+    The term at i is at most ceil(v0 / i), which does not grow with i, so the
+    scan stops once that is no more than the best term so far.
     """
-    v0 = valuation(ell, f[0])
-    return max(
-        (v0 - valuation(ell, a) + i - 1) // i for i, a in enumerate(f.coeffs) if i and a
-    )
+    v0, best = valuation(ell, f[0]), 0
+    for i, a in enumerate(f.coeffs[1:], 1):
+        if -(-v0 // i) <= best:
+            break
+        if a:
+            best = max(best, (v0 - valuation(ell, a) + i - 1) // i)
+    return best
 
 
 @lru_cache(maxsize=1024)
@@ -177,50 +190,54 @@ def congruence_number(p, q):
     if not (p.is_monic and q.is_monic):
         raise PreconditionError("inputs must be monic")
     mod, other = (p, q) if p.degree <= q.degree else (q, p)
-    m = mod.degree
-    reduced = other.divmod_exact(mod)[1]
-    col = [reduced[i] for i in range(m)]
+    m, mc = mod.degree, mod.coeffs
+    col = _divmod(other.coeffs, mc)[1]  # m long, since deg A >= m
     cols = [col]
     for _ in range(m - 1):
         top = col[-1]
         col = [0] + col[:-1]
         if top:
-            col = [x - top * c for x, c in zip(col, mod.coeffs)]
+            col = [x - top * c for x, c in zip(col, mc)]
         cols.append(col)
     rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
     span = rref(rows)
     if span.pivots != list(range(m)):
         raise NotCoprimeError("not coprime: inputs share a factor; factor first")
     c = span.denom
-    u = IntPoly([row[m] for row in span.rows])
-    w = (c - u * other).divmod_exact(mod)[0]  # the identity check verifies it
-    r, s = (w, u) if mod is p else (u, w)
+    u = [row[m] for row in span.rows]
+    t = [-x for x in _mul(u, other.coeffs)] or [0]
+    t[0] += c
+    w = _divmod(t, mc)[0]  # the identity check verifies it
+    r, s = map(IntPoly, (w, u) if mod is p else (u, w))
     return CongruenceNumberResult(c, r, s, p, q)
 
 
 def _bounds_irreducible_pair(res, ell):
     """Case analysis for the record of P, Q whose reductions' multiple factors
-    are tolerated but which are squarefree over Q themselves."""
-    p, q = res.p, res.q
+    are tolerated but which are squarefree over Q themselves. Each of P, Q,
+    P', Q', r and s is reduced modulo ell at most once, and at most four
+    coprimality tests run on the reductions."""
     n = valuation(ell, res.c)
     if n == 0:
         return CongruenceBounds(ell, 0, 0, "a")
     if n == 1:
         return CongruenceBounds(ell, 1, 1, "b")
-    p_sqf = coprime_mod(p, p.derivative(), ell)
-    q_sqf = coprime_mod(q, q.derivative(), ell)
+    dp, dq = res._derivatives
+    p, q = _reduce(res.p.coeffs, ell), _reduce(res.q.coeffs, ell)
+    p_sqf = _coprime(p, _reduce(dp, ell), ell)
+    q_sqf = _coprime(q, _reduce(dq, ell), ell)
     if p_sqf and q_sqf:
         return CongruenceBounds(ell, n, n, "c-i")
-    if q_sqf and coprime_mod(res.s, q, ell):
+    s_q = _coprime(_reduce(res.s.coeffs, ell), q, ell)
+    if q_sqf and s_q:
         return CongruenceBounds(ell, n, n, "c-ii")
-    if p_sqf and coprime_mod(res.r, p, ell):
+    r_p = _coprime(_reduce(res.r.coeffs, ell), p, ell)
+    if p_sqf and r_p:
         return CongruenceBounds(ell, n, n, "c-iii")
-    if coprime_mod(res.s, q, ell):
-        m = -(-n // q.degree)
-        return CongruenceBounds(ell, m, n, "d-i")
-    if coprime_mod(res.r, p, ell):
-        m = -(-n // p.degree)
-        return CongruenceBounds(ell, m, n, "d-ii")
+    if s_q:
+        return CongruenceBounds(ell, -(-n // res.q.degree), n, "d-i")
+    if r_p:
+        return CongruenceBounds(ell, -(-n // res.p.degree), n, "d-ii")
     return CongruenceBounds(ell, 1, n, "d-iii")
 
 

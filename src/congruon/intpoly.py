@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .arith import CongruonError, is_prime
 
@@ -103,16 +103,12 @@ class IntPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = IntPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] + other[i] for i in range(n)])
+        return IntPoly(_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] - other[i] for i in range(n)])
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -120,14 +116,7 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -169,26 +158,12 @@ class IntPoly:
         return IntPoly([c // g for c in self.coeffs])
 
     def divmod_exact(self, divisor):
-        """Quotient and remainder over Q, both required to be integral.
-
-        Long division in int; the quotient is integral iff lc(divisor)
-        divides the leading coefficient at every step, so the first step
-        where it does not raises ValueError.
-        """
+        """Quotient and remainder over Q, both required to be integral;
+        ValueError otherwise (see _divmod)."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        db, lead = divisor.degree, divisor.leading
-        q = [0] * max(len(r) - db, 0)
-        for i in range(len(r) - 1, db - 1, -1):
-            if r[i]:
-                f, rem = divmod(r[i], lead)
-                if rem:
-                    raise ValueError("division is not exact over the integers")
-                q[i - db] = f
-                for j, bc in enumerate(divisor.coeffs):
-                    r[i - db + j] -= f * bc
-        return IntPoly(q), IntPoly(r[:db])
+        q, r = _divmod(self.coeffs, divisor.coeffs)
+        return IntPoly(q), IntPoly(r)
 
     def __repr__(self):
         if self.is_zero:
@@ -209,6 +184,45 @@ class IntPoly:
                 else:
                     terms.append(f"{c}*{mono}")
         return "IntPoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
+
+
+# --- dense polynomial arithmetic over Z (coefficient lists) ---
+
+
+def _add(a, b):
+    """Sum of two coefficient lists, untrimmed."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _mul(a, b):
+    """Product of two coefficient lists; [] when either is []."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divmod(a, b):
+    """Quotient and remainder (untrimmed, len(b) - 1 long when len(a) is at
+    least that) of a by the trimmed nonzero b, by long division in int. The
+    quotient is integral iff lc(b) divides the leading coefficient at every
+    step, so the first step where it does not raises ValueError."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        if r[i]:
+            f, rem = divmod(r[i], lead)
+            if rem:
+                raise ValueError("division is not exact over the integers")
+            q[i - db] = f
+            for j, bc in enumerate(b):
+                r[i - db + j] -= f * bc
+    return q, r[:db]
 
 
 def divides(d, p):
@@ -275,27 +289,21 @@ def _pm_trim(a):
     return a
 
 
+def _reduce(coeffs, p):
+    """The coefficient list reduced modulo p, trimmed."""
+    return _pm_trim([c % p for c in coeffs])
+
+
 def _pm_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _pm_trim(out)
+    return _reduce(_mul(a, b), m)
 
 
 def _pm_add(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    return _pm_trim(out)
+    return _reduce(_add(a, b), m)
 
 
 def _pm_sub(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    return _pm_trim(out)
+    return _reduce(_add(a, [-c for c in b]), m)
 
 
 def _pm_divmod(a, b, m):
@@ -445,12 +453,27 @@ def _hensel_lift_list(f, modular_factors, p, target):
     return rec([c % q for c in f.coeffs], modular_factors)
 
 
+def _coprime(x, y, p):
+    """True iff the reduced lists x and y (see _reduce) are coprime in F_p[X]
+    for a prime p, that is gcd(x, y) is a nonzero constant. Euclid keeps
+    remainders only: no quotient and no monic gcd are formed."""
+    a, b = (x, y) if len(x) >= len(y) else (y, x)
+    while len(b) > 1:
+        a, db = list(a), len(b) - 1
+        inv = pow(b[-1], -1, p)
+        low = b[:db]
+        for i in range(len(a) - 1, db - 1, -1):
+            f = a[i] * inv % p
+            if f:
+                a[i - db : i] = [(u - f * v) % p for u, v in zip(a[i - db : i], low)]
+        a, b = b, _pm_trim(a[:db])
+    return len(a) == 1 or len(b) == 1
+
+
 def coprime_mod(a, b, p):
     """True iff the reductions of a and b modulo the prime p are coprime in
     F_p[X]; a is squarefree modulo p iff coprime_mod(a, a.derivative(), p)."""
-    ap = _pm_trim([c % p for c in a.coeffs])
-    bp = _pm_trim([c % p for c in b.coeffs])
-    return len(_pm_gcd(ap, bp, p)) == 1
+    return _coprime(_reduce(a.coeffs, p), _reduce(b.coeffs, p), p)
 
 
 def _symmetric(c, m):

@@ -125,35 +125,43 @@ def compare_newforms(f, g, opts=None):
     k = f.weight
     level = math.lcm(f.level, g.level)
     sb = sturm_bound(level, k)
-    # the Sturm primes only without a cutoff: at a large level B is huge
     cutoff = opts.prime_cutoff_override
-    primes = sb.primes if cutoff is None else primes_upto(cutoff)
-    if not primes:
+    top = sb.num // sb.den if cutoff is None else cutoff
+    if top < 2:
         raise PreconditionError(
             "insufficient primes below the Sturm bound; pass a cutoff override"
         )
+    # The Sturm primes are walked lazily: at a large level B is huge, and a
+    # class that lacks a charpoly refuses at the first prime it lacks.
+    primes = (
+        filter(is_prime, range(2, top + 1)) if cutoff is None else primes_upto(cutoff)
+    )
 
     if g.level % f.level == 0:
         m = g.level // f.level
     else:
         m = 1  # step 3 unavailable when levels are incomparable
     nf_ng = f.level * g.level
-    good = [p for p in primes if nf_ng % p != 0]
-    p_of_m = [p for p in primes if m % p == 0]
-    excluded = [p for p in primes if nf_ng % p == 0 and m % p != 0]
+
+    # Step 1: congruence numbers at the good primes, each read as it is
+    # reached; the primes dividing a level come last, when included.
+    records, p_of_m, excluded = {}, [], []
+    for p in primes:
+        if nf_ng % p:
+            records[p] = _record(f.class_charpoly(p), g.class_charpoly(p))
+        else:
+            (p_of_m if m % p == 0 else excluded).append(p)
     if opts.include_p_dividing_levels:
-        good = good + excluded
+        for p in excluded:
+            records[p] = _record(f.class_charpoly(p), g.class_charpoly(p))
         excluded = []
-    if not good:
+    if not records:
         raise PreconditionError(
             "no usable primes: every prime up to the Sturm bound or cutoff "
             "divides a level"
         )
-
-    # Step 1: congruence numbers at the good primes.
-    records = {p: _record(f.class_charpoly(p), g.class_charpoly(p)) for p in good}
-    shared = [p for p in good if records[p] is None]
-    used = [p for p in good if records[p] is not None]
+    shared = [p for p, rec in records.items() if rec is None]
+    used = [p for p, rec in records.items() if rec is not None]
     if not used:
         raise NotCoprimeError("not coprime: the charpolys agree at every usable prime")
     l_plus = modified_gcd_combine([(p, records[p].c) for p in used])

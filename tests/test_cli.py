@@ -496,6 +496,45 @@ def test_congforms_cutoff_sieves_no_sturm_primes(runner, tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "level, held, flags, missing",
+    [
+        (1000000007, 2, [], 3),
+        (2 * 1000000007, 3, [], 5),
+        (2 * 1000000007, 3, ["--include-level-primes"], 5),
+    ],
+)
+def test_congforms_refusal_sieves_no_sturm_primes(
+    runner, tmp_path, monkeypatch, level, held, flags, missing
+):
+    """Classes that hold one charpoly refuse at the first usable prime they
+    lack, and the Sturm primes (B is 166666668 at level 1000000007) are
+    walked, not listed: primes_upto is asked for no bound above 1,000. With
+    --include-level-primes the primes dividing a level still come after the
+    others, so at 2 * 1000000007 the message names 5, not 2."""
+    path = tmp_path / "d.txt"
+    path.write_text(
+        "".join(
+            f"FORM id={i} level={level} weight=2 degree=1\n"
+            f"CP id={i} p={held} coeffs={a},1\n"
+            for i, a in (("f", 1), ("g", 2))
+        )
+    )
+    bounds, primes_upto = [], congruon.pipeline.primes_upto
+
+    def recorded(bound):
+        bounds.append(bound)
+        if bound > 1000:
+            raise AssertionError(f"primes_upto({bound}) lists the Sturm primes")
+        return primes_upto(bound)
+
+    monkeypatch.setattr(congruon.pipeline, "primes_upto", recorded)
+    r = _run(runner, ["congforms", "--f", f"{path}#f", "--g", f"{path}#g", *flags])
+    assert r.exit_code == 5
+    assert r.stderr == f"error: charpoly for p={missing} not available on class f\n"
+    assert max(bounds, default=0) <= 1000
+
+
 def test_congforms_no_usable_prime(runner, tmp_path):
     """Every prime up to the cutoff divides the level 210 = 2*3*5*7, so no
     charpoly is compared (the classes hold none): a precondition, not a

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ from congruon.congruence import (
     difference_root_poly,
 )
 from congruon.hecke_io import parse_dataset
-from congruon.intpoly import IntPoly, coprime_mod, gcd_over_q
+from congruon.cli import main
+from congruon.intpoly import IntPoly, _coprime, _reduce, coprime_mod, gcd_over_q
 from congruon.linalg import mat_mul
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "congruon"
@@ -259,6 +261,21 @@ def test_congruence_number_minimality_small():
                     v = val_poly.coeffs[0]
                     best = v if best is None else min(best, v)
     assert best == c
+
+
+def test_record_checks_the_cofactor_identity():
+    """A record whose c, r or s breaks r*P + s*Q = c is refused, also where
+    P or Q is constant."""
+    pairs = [([12, 1], [-60, 1]), ([2, 0, 1], [4, 1]), ([1], [0, 1]), ([3, 1], [1])]
+    pairs = [(IntPoly(p), IntPoly(q)) for p, q in pairs]
+    pairs.append(tuple(map(IntPoly.from_roots, RECORD_PAIR)))
+    for p, q in pairs:
+        res = congruence_number(p, q)
+        CongruenceNumberResult(res.c, res.r, res.s, res.p, res.q)
+        with pytest.raises(ValueError, match="cofactor identity"):
+            CongruenceNumberResult(res.c + 1, res.r, res.s, res.p, res.q)
+        with pytest.raises(ValueError, match="cofactor identity"):
+            CongruenceNumberResult(res.c, res.r, res.s + 1, res.p, res.q)
 
 
 def test_not_coprime_raises():
@@ -530,6 +547,35 @@ def test_repeated_factor_test_runs_once_per_polynomial(monkeypatch):
     square = congruence_number(polys[0], polys[1]).bounds(2)
     assert square.case_tag == "factored"
 
+
+
+# A planted 6 x 6 pair whose case analysis ends in d-iii at 2, 3, 5 and 7.
+RECORD_PAIR = ([-14, -8, 14, 15, 16, 20], [-15, -4, 1, 7, 18, 19])
+
+
+def test_case_analysis_reduces_once_per_ell(monkeypatch, capsys):
+    """One `congpoly --all-ell` run: at each ell the record reduces P, Q, P',
+    Q', r and s modulo ell at most once each and runs at most four
+    coprimality tests, the d-* cases included."""
+    reductions, tests = Counter(), Counter()
+
+    def counted_reduce(coeffs, p):
+        reductions[p] += 1
+        return _reduce(coeffs, p)
+
+    def counted_coprime(x, y, p):
+        tests[p] += 1
+        return _coprime(x, y, p)
+
+    monkeypatch.setattr(congruon.congruence, "_reduce", counted_reduce)
+    monkeypatch.setattr(congruon.congruence, "_coprime", counted_coprime)
+    p, q = (",".join(map(str, IntPoly.from_roots(r).coeffs)) for r in RECORD_PAIR)
+    main.main(args=["congpoly", p, q, "--all-ell"], standalone_mode=False)
+    lines = capsys.readouterr().out.splitlines()
+    d_ells = [int(l.split()[0][4:]) for l in lines if "case=d-" in l]
+    assert d_ells == [2, 3, 5, 7]
+    assert max(reductions.values()) <= 6 and max(tests.values()) <= 4
+    assert all(reductions[ell] == 6 and tests[ell] == 4 for ell in d_ells)
 
 
 @given(

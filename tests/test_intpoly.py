@@ -1,12 +1,17 @@
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.abc import x as sx
 
 from congruon.intpoly import (
     FactorizationCapError,
     IntPoly,
+    _coprime,
+    _divmod,
+    _mul,
+    _pm_gcd,
+    _reduce,
     divides,
     factor_over_z,
     gcd_over_q,
@@ -187,3 +192,54 @@ def test_divmod_exact_examples():
     assert divmod_([6, 4], [2]) == ((3, 2), ())
     with pytest.raises(ValueError):
         IntPoly([0, 0, 3]).divmod_exact(IntPoly([0, 2]))
+
+
+# --- the coefficient-list kernels ---------------------------------------------
+
+
+def coprime_reference(x, y, p):
+    """Coprimality as the monic gcd over F_p decides it: a gcd of length one."""
+    return len(_pm_gcd(x, y, p)) == 1
+
+
+@given(small_coeffs, small_coeffs, small_coeffs, st.sampled_from([2, 3, 5, 7, 32749]))
+@example([], [], [], 2)
+@example([], [5], [], 3)
+@example([4], [], [1, 1], 32749)
+@example([], [0, 1], [], 7)
+@example([7], [0, 0, 7], [], 7)
+@settings(max_examples=300)
+def test_coprime_matches_the_monic_gcd(a, b, g, p):
+    """The remainder-only test agrees with the monic gcd on the reductions of
+    a and b, and of a*g and b*g, empty and constant lists included."""
+    for x, y in ((a, b), (_mul(a, g), _mul(b, g))):
+        x, y = _reduce(x, p), _reduce(y, p)
+        assert _coprime(x, y, p) is coprime_reference(x, y, p), (x, y, p)
+
+
+@given(small_coeffs, small_coeffs)
+def test_mul_matches_sympy(a, b):
+    got = _mul(a, b)
+    assert IntPoly(got) == from_sympy(to_sympy(IntPoly(a)) * to_sympy(IntPoly(b)))
+    assert len(got) == (len(a) + len(b) - 1 if a and b else 0)
+
+
+@given(small_coeffs, small_coeffs.filter(any), st.booleans())
+@settings(max_examples=150)
+def test_divmod_matches_sympy(a, b, exact):
+    """Quotient and remainder by a trimmed b equal sympy's over Q when both
+    are integral, and ValueError is raised otherwise; with exact, a is the
+    multiple a*b, which always divides."""
+    b = list(IntPoly(b).coeffs)
+    if exact:
+        a = _mul(a, b)
+    sq, sr = sympy.div(to_sympy(IntPoly(a)), to_sympy(IntPoly(b)), domain=sympy.QQ)
+    if all(c.q == 1 for c in [*sq.all_coeffs(), *sr.all_coeffs()]):
+        q, r = _divmod(a, b)
+        assert IntPoly(q) == from_sympy(sq) and IntPoly(r) == from_sympy(sr)
+        assert len(r) == min(len(a), len(b) - 1)
+        assert not (exact and any(r))
+    else:
+        assert not exact
+        with pytest.raises(ValueError, match="not exact"):
+            _divmod(a, b)
